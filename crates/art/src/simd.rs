@@ -106,10 +106,9 @@ pub fn find_key16_scalar(keys: &[u8; 16], count: usize, b: u8) -> Option<usize> 
 
 /// Bitmask of the positions in `bytes` that equal `b`: bit `i` is set iff
 /// `bytes[i] == b`. `bytes` must be at most 64 long (callers scanning a
-/// longer array — the directory's packed per-bucket fingerprint arrays —
-/// chunk it). Unlike [`find_key16`] this reports *every* match: a
-/// fingerprint hit still needs a full key compare, and several entries in
-/// one bucket may share a fingerprint byte.
+/// longer array chunk it). Unlike [`find_key16`] this reports *every*
+/// match. No engine code calls it; it stays public as a kernel timed by
+/// the `hartbench` benchmark (`art.match_byte64_ns`).
 #[inline]
 pub fn match_byte64(bytes: &[u8], b: u8) -> u64 {
     debug_assert!(bytes.len() <= 64);
@@ -406,7 +405,7 @@ mod tests {
         assert_eq!(find_key16_scalar(&keys, usize::MAX, 9), Some(15));
     }
 
-    /// Exhaustive fingerprint-scan equivalence: every length (0..=64) ×
+    /// Exhaustive byte-scan equivalence: every length (0..=64) ×
     /// every probe byte × assorted fill patterns must produce bit-identical
     /// match masks on the vector and scalar paths — including lengths that
     /// leave a sub-16-byte tail for the vector chunk loop.
@@ -439,8 +438,7 @@ mod tests {
         }
     }
 
-    /// The mask reports every match position, not just the first — the
-    /// property the fingerprint probe relies on to visit all candidates.
+    /// The mask reports every match position, not just the first.
     #[test]
     fn match_byte64_reports_all_positions() {
         let mut bytes = [0u8; 64];

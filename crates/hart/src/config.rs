@@ -31,15 +31,11 @@ pub struct HartConfig {
     /// (DESIGN.md §Concurrency). `true` (default): `search`/`range` first
     /// traverse without taking any read lock, validating shard epoch
     /// counters, and fall back to the pessimistic read-locked path after
-    /// [`HartConfig::optimistic_retry_limit`] failed attempts. `false`:
-    /// every read takes the per-ART read lock, reproducing the paper's
-    /// original locking protocol exactly (and skipping epoch-based node
-    /// reclamation, since no reader can then hold an unprotected pointer).
+    /// a fixed number of failed attempts. `false`: every read takes the
+    /// per-ART read lock, reproducing the paper's original locking
+    /// protocol exactly (and skipping epoch-based node reclamation, since
+    /// no reader can then hold an unprotected pointer).
     pub optimistic_reads: bool,
-    /// How many times an optimistic read retries after a version-validation
-    /// failure before giving up and taking the read lock. Writer-heavy
-    /// shards make low values kick readers to the fair locked path sooner.
-    pub optimistic_retry_limit: u32,
     /// Kill-switch for the always-on observability layer (`hart-obs`).
     /// `true` (default): the embedded recorder counts ops, retries,
     /// contention, resize and allocator events, and samples op latency
@@ -48,15 +44,6 @@ pub struct HartConfig {
     /// clock is ever read — and snapshots come back zero-valued with
     /// `enabled: false`.
     pub observability: bool,
-    /// Kill-switch for the directory's fingerprint probe filter. `false`
-    /// (default): every bucket probe scans the bucket's packed 1-byte
-    /// fingerprint array first (SIMD where available) and compares full
-    /// hash keys only at fingerprint matches. `true`: probes compare every
-    /// chained key in full, reproducing the pre-fingerprint probe cost
-    /// exactly. The bucket format (fingerprint arrays, stash region) is
-    /// identical either way — the flag selects only the probe strategy, so
-    /// equivalence is structural and proven by `tests/fingerprint.rs`.
-    pub full_key_probes: bool,
     /// Group-commit persistence (kill-switch for the server's batching
     /// layer). `false` (default): every write op fences its own persists —
     /// the paper's per-op `persistent()` accounting. `true`: a hosting
@@ -79,9 +66,7 @@ impl Default for HartConfig {
             resize_threshold: 1,
             persist_internal_nodes: false,
             optimistic_reads: true,
-            optimistic_retry_limit: 8,
             observability: true,
-            full_key_probes: false,
             group_commit: false,
         }
     }
@@ -97,9 +82,6 @@ impl HartConfig {
             return Err(Error::BadConfig(
                 "initial_buckets must be a nonzero power of two",
             ));
-        }
-        if self.optimistic_reads && self.optimistic_retry_limit == 0 {
-            return Err(Error::BadConfig("optimistic_retry_limit must be >= 1"));
         }
         Ok(())
     }
@@ -162,17 +144,6 @@ impl HartConfig {
         }
     }
 
-    /// Config with the fingerprint probe filter disabled (ablation /
-    /// kill-switch): directory probes compare every chained hash key in
-    /// full, as before the fingerprint extension. Storage format is
-    /// unchanged — only the probe strategy reverts.
-    pub fn with_full_key_probes() -> HartConfig {
-        HartConfig {
-            full_key_probes: true,
-            ..Default::default()
-        }
-    }
-
     /// Config opting in to group-commit persistence (the server's batched
     /// fence path). The default (`false`) is the per-op-persist
     /// kill-switch.
@@ -217,30 +188,6 @@ mod tests {
     fn kill_switch_disables_optimistic_reads() {
         let c = HartConfig::with_locked_reads();
         assert!(!c.optimistic_reads);
-        assert!(c.validate().is_ok());
-        let bad = HartConfig {
-            optimistic_retry_limit: 0,
-            ..HartConfig::default()
-        };
-        assert!(bad.validate().is_err());
-        let ok = HartConfig {
-            optimistic_retry_limit: 0,
-            ..HartConfig::with_locked_reads()
-        };
-        assert!(
-            ok.validate().is_ok(),
-            "retry limit is irrelevant with locked reads"
-        );
-    }
-
-    #[test]
-    fn kill_switch_disables_fingerprints() {
-        assert!(
-            !HartConfig::default().full_key_probes,
-            "fingerprint probes are the default"
-        );
-        let c = HartConfig::with_full_key_probes();
-        assert!(c.full_key_probes);
         assert!(c.validate().is_ok());
     }
 

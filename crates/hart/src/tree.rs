@@ -17,6 +17,11 @@ use hart_pm::{PmPtr, PmStatsSnapshot, PmemPool};
 use std::ptr;
 use std::sync::Arc;
 
+/// How many times an optimistic read retries after a version-validation
+/// failure before giving up and taking the read lock (DESIGN.md §3
+/// Concurrency).
+const OPTIMISTIC_RETRY_LIMIT: u32 = 8;
+
 /// A concurrent Hash-Assisted Radix Tree over an emulated PM pool.
 ///
 /// See the crate docs for the architecture. Construction:
@@ -41,7 +46,6 @@ impl Hart {
             cfg.initial_buckets,
             cfg.resize_threshold,
             cfg.optimistic_reads,
-            cfg.full_key_probes,
         );
         dir.set_recorder(obs.clone());
         Ok(Hart {
@@ -65,7 +69,6 @@ impl Hart {
             cfg.initial_buckets,
             cfg.resize_threshold,
             cfg.optimistic_reads,
-            cfg.full_key_probes,
         );
         dir.set_recorder(obs.clone());
         let hart = Hart {
@@ -105,7 +108,6 @@ impl Hart {
             cfg.initial_buckets,
             cfg.resize_threshold,
             cfg.optimistic_reads,
-            cfg.full_key_probes,
         );
         dir.set_recorder(obs.clone());
         let hart = Hart {
@@ -489,7 +491,7 @@ impl Hart {
         // across attempts keeps a contended retry from churning the heap.
         let mut leaves = Vec::new();
         let mut rows: Vec<(Key, Value)> = Vec::new();
-        'attempt: for attempt in 0..self.cfg.optimistic_retry_limit {
+        'attempt: for attempt in 0..OPTIMISTIC_RETRY_LIMIT {
             if attempt > 0 {
                 self.obs.add(hart_obs::Event::OptimisticRetry, 1);
             }
@@ -576,7 +578,7 @@ impl Hart {
     ///
     /// Returns `None` when the caller must fall back to
     /// [`Hart::search_locked`]: either no EBR reader slot was free, or
-    /// `optimistic_retry_limit` attempts were invalidated by writers.
+    /// `OPTIMISTIC_RETRY_LIMIT` attempts were invalidated by writers.
     /// Every returned `Some(_)` is a *validated* result: the shard version
     /// was even and unchanged across everything the answer depends on, so
     /// the result equals what the locked path would have produced at that
@@ -591,7 +593,7 @@ impl Hart {
     ) -> Option<Result<Option<Value>>> {
         let _pin = hart_ebr::pin()?;
         let r = self.resolver();
-        for attempt in 0..self.cfg.optimistic_retry_limit {
+        for attempt in 0..OPTIMISTIC_RETRY_LIMIT {
             if attempt > 0 {
                 *retries += 1;
             }

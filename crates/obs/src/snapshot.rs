@@ -102,14 +102,15 @@ pub struct DirSection {
     pub migration_in_progress: bool,
     pub buckets: u64,
     pub shards: u64,
-    /// Probe fingerprint matches (each followed by a full key compare).
+    /// Always 0: the directory no longer has fingerprint probes or a
+    /// stash region. This and the next three fields stay because the
+    /// snapshot schema is append-only.
     pub fp_hits: u64,
-    /// Fingerprint matches whose key compare failed (pre-filter false
-    /// positives).
+    /// Always 0; kept for the append-only schema (see `fp_hits`).
     pub fp_false_positives: u64,
-    /// Probes that consulted a stash region (overflow bit set).
+    /// Always 0; kept for the append-only schema (see `fp_hits`).
     pub stash_probes: u64,
-    /// Entries displaced into a stash region (home bucket at capacity).
+    /// Always 0; kept for the append-only schema (see `fp_hits`).
     pub stash_spills: u64,
 }
 

@@ -63,8 +63,7 @@
 //!   covering lock from the declarative [`racer`] `GUARDED_BY` table
 //!   held — directly, via a guard-typed parameter, or in every non-test
 //!   caller (bounded-depth call-graph walk). Lock-wrapped fields may only
-//!   be touched through their lock methods, and stash-bucket write locks
-//!   require a still-held home-bucket guard.
+//!   be touched through their lock methods.
 //!   Waiver: `// pmlint: guarded-ok(<reason>)`.
 //! * **R11 `atomic-protocol`** — (v4) every atomic field in the
 //!   workspace declares a protocol class (`counter-relaxed-ok`,

@@ -30,12 +30,10 @@
 //! address-taken functions, unresolvable callers, module-scope call
 //! sites, and recursion. Waiver: `// pmlint: guarded-ok(<reason>)`.
 //!
-//! Two special access shapes encode invariants a plain "lock held" check
-//! cannot: `LockedField` requires every syntactic use of a lock-wrapped
-//! field to go through its lock methods (so `data_ptr()` escape hatches
-//! need an explicit waiver), and `StashWrite` enforces the stash-mutation
-//! invariant — a stash bucket's write lock may only be taken while a
-//! strictly-earlier home-bucket (`BUCKET_ENTRIES`) guard is still held.
+//! One special access shape encodes an invariant a plain "lock held"
+//! check cannot: `LockedField` requires every syntactic use of a
+//! lock-wrapped field to go through its lock methods (so `data_ptr()`
+//! escape hatches need an explicit waiver).
 //!
 //! # R11 — atomic-protocol
 //!
@@ -114,9 +112,6 @@ enum Access {
         methods: &'static [&'static str],
         is_static: bool,
     },
-    /// A `.table.write()` on a *stash* bucket: legal only while a
-    /// strictly-earlier home-bucket guard is still held.
-    StashWrite,
 }
 
 /// One guarded-by declaration.
@@ -163,15 +158,6 @@ const GUARDED_BY: &[GuardRule] = &[
     GuardRule {
         krate: "hart",
         file: Some("dir.rs"),
-        field: "overflow",
-        classes: &[BUCKET_ENTRIES],
-        access: Access::AtomicWrite,
-        rationale: "the sticky overflow bit is set under the home bucket's \
-                    write lock, after the stash entry installs",
-    },
-    GuardRule {
-        krate: "hart",
-        file: Some("dir.rs"),
         field: "migrated_count",
         classes: &[BUCKET_ENTRIES],
         access: Access::AtomicWrite,
@@ -204,15 +190,6 @@ const GUARDED_BY: &[GuardRule] = &[
         access: Access::AtomicWrite,
         rationale: "seqlock versions (shard and bucket) only move inside a \
                     write section, i.e. under the owning write lock",
-    },
-    GuardRule {
-        krate: "hart",
-        file: Some("dir.rs"),
-        field: "table",
-        classes: &[BUCKET_ENTRIES],
-        access: Access::StashWrite,
-        rationale: "stash-mutation invariant: a stash bucket's write lock is \
-                    only taken while the home bucket's guard is still held",
     },
     // --- hart, any file: shard-guard-protected state ---
     GuardRule {
@@ -415,7 +392,7 @@ const ATOMIC_PROTOCOLS: &[AtomicDecl] = &[
     AtomicDecl {
         krate: "hart",
         file: "dir.rs",
-        fields: &["migrated", "overflow"],
+        fields: &["migrated"],
         proto: Proto::StickyFlag,
     },
     AtomicDecl {
@@ -1054,76 +1031,6 @@ fn rule_guarded_by(ws: &Workspace, out: &mut Findings) -> Vec<usize> {
                                 };
                                 push_finding(out, &f.lines, lineno, "pmlint: guarded-ok(", v);
                                 let _ = col;
-                            }
-                        }
-                    }
-                    Access::StashWrite => {
-                        for rc in scan_calls(code) {
-                            if rc.name != "write" && rc.name != "try_write" {
-                                continue;
-                            }
-                            let CallKind::Dotted { receiver } = &rc.kind else {
-                                continue;
-                            };
-                            if receiver_field(receiver) != "table" {
-                                continue;
-                            }
-                            let Some(base) = receiver.trim_end().strip_suffix(".table") else {
-                                continue;
-                            };
-                            let Some(fn_idx) = f.st.fn_idx_at(lineno) else {
-                                continue;
-                            };
-                            let span = &f.st.fns[fn_idx];
-                            let from_stash =
-                                |s: &str| s.contains("stash_bucket(") || s.contains(".stash[");
-                            let is_stash = from_stash(base)
-                                || (!base.is_empty()
-                                    && base.chars().all(|c| c.is_alphanumeric() || c == '_')
-                                    && {
-                                        let p1 = format!("let {base} ");
-                                        let p2 = format!("let mut {base} ");
-                                        f.lines[span.start - 1..lineno - 1].iter().any(|l| {
-                                            (l.code.contains(&p1) || l.code.contains(&p2))
-                                                && from_stash(&l.code)
-                                        })
-                                    });
-                            if !is_stash {
-                                continue;
-                            }
-                            hits[ri] += 1;
-                            let held_earlier = locks::direct_acqs(ws, fi, fn_idx).iter().any(|a| {
-                                a.class == BUCKET_ENTRIES
-                                    && (a.line < lineno || (a.line == lineno && a.col < rc.col))
-                                    && lineno <= a.hold_to
-                            });
-                            let covered = held_earlier || {
-                                let mut path = HashSet::new();
-                                callers_hold(
-                                    ws,
-                                    FnId {
-                                        file: fi,
-                                        idx: fn_idx,
-                                    },
-                                    &[BUCKET_ENTRIES],
-                                    0,
-                                    &mut path,
-                                )
-                            };
-                            if !covered {
-                                let v = Violation {
-                                    file: f.path.clone(),
-                                    line: lineno,
-                                    rule: "guarded-by",
-                                    msg: format!(
-                                        "stash-bucket write lock taken without a home-bucket \
-                                         guard already held ({}); take the home bucket's \
-                                         write lock first or waive with \
-                                         `// pmlint: guarded-ok(<reason>)`",
-                                        rule.rationale
-                                    ),
-                                };
-                                push_finding(out, &f.lines, lineno, "pmlint: guarded-ok(", v);
                             }
                         }
                     }

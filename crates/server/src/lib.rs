@@ -17,7 +17,7 @@
 //!   amortized flush has made the ops durable. Workers never block on the
 //!   batch window. With `group_commit: false` (the kill-switch) every
 //!   write pays its own fence before the response is sent, and acked-write
-//!   durability is identical (proven by `tests/group_commit.rs`).
+//!   durability is identical (proven by `tests/server_group_commit.rs`).
 //! * **Admission control**: a global in-flight counter; requests beyond
 //!   `ServerConfig::max_inflight` are refused immediately with `BUSY`
 //!   (clean backpressure, no queue growth).
