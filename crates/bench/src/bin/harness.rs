@@ -7,9 +7,12 @@
 //! cargo run --release -p bench --bin harness -- fig10d --records 500000
 //! ```
 //!
-//! Output: aligned tables on stdout plus CSV files under `bench-results/`
-//! (override with `--out DIR`). Defaults are scaled down from the paper's
-//! record counts (see DESIGN.md §2); pass `--records` to raise them.
+//! Output: aligned tables on stdout plus CSV files in a fresh temporary
+//! directory whose path is printed, so smoke runs never overwrite the
+//! results of record. Those are written only with `--out bench-results`
+//! (EXPERIMENTS.md lists the commands). Defaults are scaled down from the
+//! paper's record counts (see DESIGN.md §2); pass `--records` to raise
+//! them.
 
 use bench::*;
 use hart_pm::LatencyConfig;
@@ -43,7 +46,7 @@ fn parse_args() -> Args {
         records: 200_000,
         dict_records: hart_workloads::dictionary::DICTIONARY_SIZE,
         query_n: 100_000,
-        out: PathBuf::from("bench-results"),
+        out: PathBuf::new(),
         threads: vec![1, 2, 4, 8, 16],
         scale: Vec::new(),
         seed: 42,
@@ -110,6 +113,12 @@ fn parse_args() -> Args {
     }
     if a.cmd.is_empty() {
         a.cmd = "all".into();
+    }
+    if a.out.as_os_str().is_empty() {
+        let stamp = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map_or(0, |d| d.as_nanos());
+        a.out = std::env::temp_dir().join(format!("hart-harness-{}-{stamp}", std::process::id()));
     }
     a
 }
@@ -892,4 +901,5 @@ fn main() {
         }
     }
     println!("\ntotal harness time: {:.1}s", t0.elapsed().as_secs_f64());
+    println!("CSVs in {}", a.out.display());
 }

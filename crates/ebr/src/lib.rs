@@ -238,7 +238,15 @@ pub fn flush_for_tests() {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
-    use std::sync::Arc;
+    use std::sync::{Arc, MutexGuard};
+
+    /// Epochs, slots and the garbage bag are process-global, so a pin held
+    /// by one test stops another test's flush from freeing its garbage.
+    /// Every test that pins or asserts on reclamation holds this lock.
+    fn serial() -> MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     struct DropCounter(Arc<AtomicUsize>);
     impl Drop for DropCounter {
@@ -249,6 +257,7 @@ mod tests {
 
     #[test]
     fn unpinned_garbage_is_freed_after_lag() {
+        let _serial = serial();
         let drops = Arc::new(AtomicUsize::new(0));
         defer_drop(DropCounter(drops.clone()));
         flush_for_tests();
@@ -257,6 +266,7 @@ mod tests {
 
     #[test]
     fn pinned_reader_blocks_reclamation() {
+        let _serial = serial();
         let drops = Arc::new(AtomicUsize::new(0));
         let guard = pin().expect("slot available");
         defer_drop(DropCounter(drops.clone()));
@@ -275,6 +285,7 @@ mod tests {
     /// non-reentrant bag mutex.
     #[test]
     fn destructor_may_retire_more_garbage() {
+        let _serial = serial();
         struct Cascading(Arc<AtomicUsize>);
         impl Drop for Cascading {
             fn drop(&mut self) {
@@ -290,6 +301,7 @@ mod tests {
 
     #[test]
     fn nested_pins_share_a_slot() {
+        let _serial = serial();
         let g1 = pin().expect("outer pin");
         let g2 = pin().expect("nested pin");
         assert_eq!(g1.slot, g2.slot);
@@ -299,6 +311,7 @@ mod tests {
 
     #[test]
     fn cross_thread_pin_blocks_then_releases() {
+        let _serial = serial();
         let drops = Arc::new(AtomicUsize::new(0));
         let (ready_tx, ready_rx) = std::sync::mpsc::channel();
         let (done_tx, done_rx) = std::sync::mpsc::channel();

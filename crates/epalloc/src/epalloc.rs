@@ -18,21 +18,47 @@ use std::sync::Arc;
 const BITMAP_MASK: u64 = (1 << OBJS_PER_CHUNK) - 1;
 
 /// Volatile per-class state: reservation masks for handed-out-but-not-yet-
-/// committed objects, plus a cache of chunks known to have free slots. A
-/// crash drops both — reservations are what make the allocation protocol
-/// leak-free, and the free-chunk cache is rebuilt from the persistent
-/// bitmaps on open.
+/// committed objects, a cache of chunks known to have free slots, and a
+/// mirror of the persistent chunk list. A crash drops all three —
+/// reservations are what make the allocation protocol leak-free, and the
+/// free-chunk cache and the mirror are rebuilt from the persistent list on
+/// open.
 ///
 /// The cache keeps `EPMalloc` O(1): without it, Algorithm 2's list walk
 /// degenerates to O(#chunks) per allocation once retired slots accumulate
-/// in old chunks (e.g. during the paper's update phases).
+/// in old chunks (e.g. during the paper's update phases). The mirror does
+/// the same for `EPRecycle`: Algorithm 6 walks the list from the head to
+/// find an emptied chunk's predecessor, and chunks that empty late sit
+/// deep in a list that grows at the head (DESIGN.md §7.2 and §7.7).
 #[derive(Default)]
 struct ClassState {
     reserved: HashMap<u64, u64>,
     free_hints: BTreeSet<u64>,
+    /// The mirror: the list head (0 when the list is empty) and, for every
+    /// other linked chunk, its predecessor in `pred` or, if `alloc` linked
+    /// the chunk's successor since the last fold, in `new_links`. Complete
+    /// once `open` has rebuilt it.
+    head: u64,
+    pred: HashMap<u64, u64>,
+    /// `(chunk, predecessor)` pairs recorded by `alloc`, folded into `pred`
+    /// before the mirror is read: an append keeps map inserts, which land
+    /// on cold cache lines, off the allocation path (DESIGN.md §7.7).
+    new_links: Vec<(u64, u64)>,
 }
 
 impl ClassState {
+    /// Apply the links `alloc` recorded since the last fold.
+    fn fold_links(&mut self) {
+        for (chunk, pred) in self.new_links.drain(..) {
+            self.pred.insert(chunk, pred);
+        }
+    }
+
+    /// Chunks the mirror holds (all linked ones, once rebuilt).
+    fn chunk_count(&self) -> usize {
+        self.pred.len() + self.new_links.len() + usize::from(self.head != 0)
+    }
+
     /// Reserve a free slot in `chunk` if one exists, maintaining the
     /// free-chunk cache. Returns the chosen object index.
     fn try_reserve(&mut self, hdr: ChunkHeader, chunk: PmPtr) -> Option<u64> {
@@ -93,7 +119,8 @@ impl EPallocator {
     }
 
     /// Open an existing pool: validate the root page, replay unfinished
-    /// micro-logs, scrub stale leaf slots, and recount live objects.
+    /// micro-logs, scrub stale leaf slots, rebuild the volatile per-class
+    /// state, and recycle chunks a crash left linked but empty.
     pub fn open(pool: Arc<PmemPool>) -> Result<EPallocator> {
         let root = Root::check(&pool)?;
         // Volatile free lists did not survive the "crash".
@@ -182,6 +209,10 @@ impl EPallocator {
                     geo.set_pnext(&self.pool, new_chunk, PmPtr(old_head));
                     self.pool.write_u64_atomic(head_slot, new_chunk.offset());
                     self.pool.persist(head_slot, 8);
+                    if old_head != 0 {
+                        st.new_links.push((old_head, new_chunk.offset()));
+                    }
+                    st.head = new_chunk.offset();
                     *st.reserved.entry(new_chunk.offset()).or_insert(0) |= 1;
                     st.free_hints.insert(new_chunk.offset());
                     geo.obj_ptr(new_chunk, 0)
@@ -310,33 +341,46 @@ impl EPallocator {
             return false; // handed out but uncommitted
         }
         st.free_hints.remove(&chunk.offset());
+        st.fold_links();
         let rlog = RlogGuard::new(&self.pool, self.root, &self.rlog_slots);
         rlog.record_current(chunk, class); // line 4
         let head_slot = self.root.head_ptr(class.idx());
         let head = PmPtr(self.pool.read::<u64>(head_slot));
-        if head == chunk {
+        let (prev, next) = if head == chunk {
             // Lines 5–6: unlink at the head.
             let next = geo.read_pnext(&self.pool, chunk);
             self.pool.write_u64_atomic(head_slot, next.offset());
             self.pool.persist(head_slot, 8);
+            (PmPtr::NULL, next)
         } else {
-            // Lines 8–10: find the predecessor and splice it out.
-            let mut prev = head;
-            loop {
-                if prev.is_null() {
-                    // Not in the list (already recycled by a replay).
-                    rlog.finish();
-                    return false;
-                }
-                let next = geo.read_pnext(&self.pool, prev);
-                if next == chunk {
-                    break;
-                }
-                prev = next;
-            }
+            // Lines 8–10: find the predecessor and splice it out. The
+            // mirror's predecessor is trusted once its PNext re-reads as
+            // `chunk`; otherwise (a recycle inside `open`, before the
+            // mirror is rebuilt) walk the list.
+            let mirrored = st
+                .pred
+                .get(&chunk.offset())
+                .map(|&p| PmPtr(p))
+                .filter(|&p| geo.read_pnext(&self.pool, p) == chunk);
+            let Some(prev) = mirrored.or_else(|| self.walk_to_pred(geo, head, chunk)) else {
+                // Not in the list (already recycled by a replay).
+                rlog.finish();
+                return false;
+            };
             rlog.record_prev(prev);
             let next = geo.read_pnext(&self.pool, chunk);
             geo.set_pnext(&self.pool, prev, next);
+            (prev, next)
+        };
+        if prev.is_null() {
+            // `next` is the new head.
+            st.head = next.offset();
+            st.pred.remove(&next.offset());
+        } else {
+            st.pred.remove(&chunk.offset());
+            if !next.is_null() {
+                st.pred.insert(next.offset(), prev.offset());
+            }
         }
         // Line 11: pfree (zeroes + persists the chunk).
         self.pool.free_raw(chunk, geo.chunk_bytes, geo.align);
@@ -345,6 +389,20 @@ impl EPallocator {
         drop(st);
         self.obs.add(hart_obs::Event::RecycleChunk, 1);
         true
+    }
+
+    /// Algorithm 6 lines 8–9 as written: walk `class`'s list from `head`
+    /// to the chunk whose PNext is `chunk`. `None` if `chunk` is not linked.
+    fn walk_to_pred(&self, geo: Geometry, head: PmPtr, chunk: PmPtr) -> Option<PmPtr> {
+        let mut prev = head;
+        while !prev.is_null() {
+            let next = geo.read_pnext(&self.pool, prev);
+            if next == chunk {
+                return Some(prev);
+            }
+            prev = next;
+        }
+        None
     }
 
     // ------------------------------------------------------------ micro-logs
@@ -387,14 +445,13 @@ impl EPallocator {
         self.live[class.idx()].load(Ordering::Relaxed)
     }
 
-    /// Aggregate statistics.
+    /// Aggregate statistics, from volatile state only: chunk counts come
+    /// from the chunk-list mirror, so taking them reads no PM.
     pub fn stats(&self) -> AllocStats {
         let mut s = AllocStats::default();
         for class in ObjClass::ALL {
             s.live[class.idx()] = self.live_count(class);
-            let mut n = 0;
-            self.for_each_chunk(class, |_, _| n += 1);
-            s.chunks[class.idx()] = n;
+            s.chunks[class.idx()] = self.classes[class.idx()].lock().chunk_count();
         }
         s
     }
@@ -483,16 +540,8 @@ impl EPallocator {
                 let next = geo.read_pnext(&self.pool, pcur);
                 self.pool.write_u64_atomic(head_slot, next.offset());
                 self.pool.persist(head_slot, 8);
-            } else {
-                let mut prev = head;
-                while !prev.is_null() {
-                    let next = geo.read_pnext(&self.pool, prev);
-                    if next == pcur {
-                        geo.set_pnext(&self.pool, prev, geo.read_pnext(&self.pool, pcur));
-                        break;
-                    }
-                    prev = next;
-                }
+            } else if let Some(prev) = self.walk_to_pred(geo, head, pcur) {
+                geo.set_pnext(&self.pool, prev, geo.read_pnext(&self.pool, pcur));
             }
             // Resume from line 11: pfree. (A pre-crash pfree only fed the
             // volatile free list, which is gone — freeing again is the
@@ -562,19 +611,86 @@ impl EPallocator {
         self.pool.persist(base, ULOG_SIZE as usize);
     }
 
+    /// Recount live objects and rebuild the free-chunk cache and the
+    /// chunk-list mirror in one walk per class, then recycle every chunk
+    /// the walk found empty: a delete or update that crashed after
+    /// retiring a chunk's last object but before Algorithm 6 logged its
+    /// recycle left the chunk linked, and nothing else would revisit it.
     fn recount_live(&self) {
         for class in ObjClass::ALL {
             let mut n = 0u64;
             let mut hints = BTreeSet::new();
+            let mut pred = HashMap::new();
+            let mut empty = Vec::new();
+            let mut head = 0;
+            let mut last = 0;
             self.for_each_chunk(class, |chunk, hdr| {
                 n += hdr.popcount() as u64;
                 if !hdr.is_full() {
                     hints.insert(chunk.offset());
                 }
+                if hdr.bitmap() == 0 {
+                    empty.push(chunk);
+                }
+                if last == 0 {
+                    head = chunk.offset();
+                } else {
+                    pred.insert(chunk.offset(), last);
+                }
+                last = chunk.offset();
             });
             self.live[class.idx()].store(n, Ordering::Relaxed);
-            self.classes[class.idx()].lock().free_hints = hints;
+            {
+                let mut st = self.classes[class.idx()].lock();
+                st.free_hints = hints;
+                st.head = head;
+                st.pred = pred;
+            }
+            for chunk in empty {
+                self.recycle_chunk(chunk, class);
+            }
         }
+    }
+
+    /// Compare each class's chunk-list mirror with a walk of its
+    /// persistent list: the mirrored head must be the list's, every other
+    /// linked chunk must map to its walked predecessor, and the mirror must
+    /// hold no other chunk. Returns one message per mismatch;
+    /// [`EPallocator::verify`] reports them too.
+    pub fn mirror_mismatches(&self) -> Vec<String> {
+        let mut errors = Vec::new();
+        for class in ObjClass::ALL {
+            let mut st = self.classes[class.idx()].lock();
+            st.fold_links();
+            let mut head = 0;
+            let mut last = 0;
+            let mut linked = 0;
+            self.for_each_chunk(class, |chunk, _| {
+                linked += 1;
+                if last == 0 {
+                    head = chunk.offset();
+                } else if st.pred.get(&chunk.offset()) != Some(&last) {
+                    errors.push(format!(
+                        "{class:?}: chunk {chunk:?} follows {last:#x} in the list, mirror has {:x?}",
+                        st.pred.get(&chunk.offset())
+                    ));
+                }
+                last = chunk.offset();
+            });
+            if st.head != head {
+                errors.push(format!(
+                    "{class:?}: mirror head {:#x}, list head {head:#x}",
+                    st.head
+                ));
+            }
+            if st.chunk_count() != linked {
+                errors.push(format!(
+                    "{class:?}: mirror holds {} chunks, the list links {linked}",
+                    st.chunk_count()
+                ));
+            }
+        }
+        errors
     }
 }
 
@@ -704,10 +820,103 @@ mod tests {
         }
         assert!(a.recycle_containing(all[OBJS_PER_CHUNK as usize], ObjClass::Value8));
         assert_eq!(a.stats().chunks[ObjClass::Value8.idx()], 2);
+        assert_eq!(a.mirror_mismatches(), Vec::<String>::new());
         // Others still reachable.
         let mut seen = 0;
         a.for_each_live(ObjClass::Value8, |_| seen += 1);
         assert_eq!(seen, OBJS_PER_CHUNK + 1);
+    }
+
+    /// Fill `chunks` Value8 chunks; returns the objects oldest-first, so
+    /// the first chunk's objects sit at the tail of the list.
+    fn fill_chunks(a: &EPallocator, chunks: u64) -> Vec<PmPtr> {
+        (0..chunks * OBJS_PER_CHUNK)
+            .map(|_| {
+                let p = a.alloc(ObjClass::Value8).unwrap();
+                a.commit(p, ObjClass::Value8);
+                p
+            })
+            .collect()
+    }
+
+    #[test]
+    fn recycling_the_tail_reads_a_constant_number_of_lines() {
+        let a = fresh();
+        let objs = fill_chunks(&a, 64);
+        for p in &objs[..OBJS_PER_CHUNK as usize] {
+            a.retire(*p, ObjClass::Value8);
+        }
+        let stats = a.pool().stats();
+        let before = stats.snapshot().read_lines;
+        assert!(a.recycle_containing(objs[0], ObjClass::Value8));
+        let reads = stats.snapshot().read_lines - before;
+        // Header, head slot, the mirrored predecessor's PNext, the
+        // chunk's own PNext — a walk would read 63 predecessors.
+        assert!(reads <= 8, "tail recycle read {reads} lines");
+        assert_eq!(a.stats().chunks[ObjClass::Value8.idx()], 63);
+        assert_eq!(a.mirror_mismatches(), Vec::<String>::new());
+    }
+
+    #[test]
+    fn open_rebuilds_the_mirror() {
+        let pool = Arc::new(PmemPool::new(PoolConfig::test_small()));
+        let a = EPallocator::create(Arc::clone(&pool));
+        let objs = fill_chunks(&a, 3);
+        drop(a);
+        let b = EPallocator::open(pool).unwrap();
+        assert_eq!(b.mirror_mismatches(), Vec::<String>::new());
+        assert_eq!(b.stats().chunks, [0, 3, 0]);
+        // The middle chunk, then the tail, then the head.
+        for range in [1, 0, 2] {
+            let chunk = &objs[range * OBJS_PER_CHUNK as usize..][..OBJS_PER_CHUNK as usize];
+            for p in chunk {
+                b.retire(*p, ObjClass::Value8);
+            }
+            assert!(b.recycle_containing(chunk[0], ObjClass::Value8));
+            assert_eq!(b.mirror_mismatches(), Vec::<String>::new());
+        }
+        assert_eq!(b.stats().chunks, [0, 0, 0]);
+    }
+
+    #[test]
+    fn open_recycles_chunks_a_crash_left_empty() {
+        // A delete that crashes between retiring a chunk's last object and
+        // Algorithm 6 leaves the chunk linked and empty.
+        let a = crashy();
+        let pool = Arc::clone(a.pool());
+        let objs = fill_chunks(&a, 3);
+        for p in &objs[OBJS_PER_CHUNK as usize..2 * OBJS_PER_CHUNK as usize] {
+            a.retire(*p, ObjClass::Value8);
+        }
+        drop(a);
+        pool.simulate_crash();
+        let b = EPallocator::open(pool).unwrap();
+        assert_eq!(b.stats().chunks, [0, 2, 0]);
+        assert_eq!(b.live_count(ObjClass::Value8), 2 * OBJS_PER_CHUNK);
+        assert_eq!(b.mirror_mismatches(), Vec::<String>::new());
+    }
+
+    #[test]
+    fn stale_mirror_entry_falls_back_to_the_walk() {
+        let a = fresh();
+        let objs = fill_chunks(&a, 3);
+        let geo = ObjClass::Value8.geometry();
+        let tail = geo.locate(objs[0]).0;
+        // Point the tail's mirrored predecessor at the head, whose PNext
+        // is not the tail: the re-read must reject it.
+        let head = PmPtr(a.pool.read::<u64>(a.root.head_ptr(ObjClass::Value8.idx())));
+        {
+            let mut st = a.classes[ObjClass::Value8.idx()].lock();
+            st.fold_links();
+            st.pred.insert(tail.offset(), head.offset());
+        }
+        assert_eq!(a.mirror_mismatches().len(), 1);
+        for p in &objs[..OBJS_PER_CHUNK as usize] {
+            a.retire(*p, ObjClass::Value8);
+        }
+        assert!(a.recycle_containing(objs[0], ObjClass::Value8));
+        assert_eq!(a.stats().chunks[ObjClass::Value8.idx()], 2);
+        assert_eq!(a.mirror_mismatches(), Vec::<String>::new());
     }
 
     #[test]

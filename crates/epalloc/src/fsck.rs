@@ -3,7 +3,8 @@
 //! Run after `open()` (so micro-logs are already replayed) to validate
 //! every persistent structure the paper's design relies on:
 //!
-//! * chunk lists are acyclic, aligned and in-bounds;
+//! * chunk lists are acyclic, aligned and in-bounds, and the allocator's
+//!   volatile mirror of each list matches it link for link;
 //! * each chunk header is internally consistent (full indicator matches
 //!   the bitmap; the next-free hint points at a free slot);
 //! * every live leaf holds a valid key, and its `p_value` points at a
@@ -106,6 +107,7 @@ impl EPallocator {
             }
             rep.live[class.idx()] = live_objects[class.idx()].len() as u64;
         }
+        rep.errors.extend(self.mirror_mismatches());
 
         // Pass 2: leaf contents + value ownership.
         let mut value_owner: HashMap<u64, PmPtr> = HashMap::new();
@@ -279,6 +281,29 @@ mod tests {
         assert!(rep.errors.iter().any(|e| e.contains("two leaves")), "{rep}");
         // The abandoned value of leaf 2 is now leaked too.
         assert!(rep.errors.iter().any(|e| e.contains("leaked")), "{rep}");
+    }
+
+    #[test]
+    fn detects_a_list_the_mirror_does_not_match() {
+        let (pool, alloc) = setup();
+        for i in 0..=OBJS_PER_CHUNK {
+            make_record(&pool, &alloc, &format!("key{i:03}"), i);
+        }
+        assert!(alloc.verify().is_healthy());
+        // Unlink the tail chunk behind the allocator's back.
+        let geo = Geometry::of(ObjClass::Leaf);
+        let mut head = None;
+        alloc.for_each_chunk(ObjClass::Leaf, |chunk, _| {
+            head.get_or_insert(chunk);
+        });
+        geo.set_pnext(&pool, head.unwrap(), PmPtr::NULL);
+        let rep = alloc.verify();
+        assert!(
+            rep.errors
+                .iter()
+                .any(|e| e.contains("mirror holds 2 chunks")),
+            "{rep}"
+        );
     }
 
     #[test]

@@ -40,6 +40,10 @@
 //! * The log pool has 32 slots of each kind (the paper implies one global
 //!   log), so concurrent writers on different ARTs do not serialize on one
 //!   log. Recovery replays every slot.
+//! * `EPRecycle` finds a chunk's predecessor through a volatile mirror of
+//!   the chunk list, confirmed by one `PNext` read, instead of walking the
+//!   list from the head; `open` rebuilds the mirror and recycles chunks a
+//!   crash left linked but empty.
 
 //! # Example
 //!

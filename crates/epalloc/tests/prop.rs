@@ -1,5 +1,6 @@
 //! Property-based tests for EPallocator: no double hand-outs, exact live
-//! accounting, chunk reclamation, and crash-at-any-point leak freedom.
+//! accounting, chunk reclamation at any list position, a chunk-list mirror
+//! that matches the persistent list, and crash-at-any-point leak freedom.
 
 use hart_epalloc::{EPallocator, ObjClass, OBJS_PER_CHUNK};
 use hart_pm::{PmPtr, PmemPool, PoolConfig};
@@ -14,7 +15,9 @@ enum Op {
     Commit(u8), // commit the i-th oldest reserved object (mod live)
     Abort(u8),
     Retire(u8),  // retire the i-th oldest committed object
-    Recycle(u8), // try recycling the chunk of a committed/retired object
+    Recycle(u8), // try recycling the chunk of a committed or freed object
+    Fill(u8),    // allocate and commit a chunk's worth of objects in a class
+    Empty(u8),   // retire everything committed in one linked chunk, recycle it
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -24,6 +27,8 @@ fn arb_op() -> impl Strategy<Value = Op> {
         any::<u8>().prop_map(Op::Abort),
         any::<u8>().prop_map(Op::Retire),
         any::<u8>().prop_map(Op::Recycle),
+        (0u8..3).prop_map(Op::Fill),
+        any::<u8>().prop_map(Op::Empty),
     ]
 }
 
@@ -34,74 +39,188 @@ fn pool() -> Arc<PmemPool> {
     }))
 }
 
+fn chunk_of(p: PmPtr, ci: usize) -> u64 {
+    ObjClass::from_idx(ci).geometry().locate(p).0.offset()
+}
+
+/// Model of one class: outstanding reservations, committed objects, freed
+/// (retired or aborted) objects in still-linked chunks, and linked chunks.
+#[derive(Default)]
+struct ClassModel {
+    reserved: Vec<PmPtr>,
+    committed: Vec<PmPtr>,
+    freed: Vec<PmPtr>,
+    linked: BTreeSet<u64>,
+}
+
+impl ClassModel {
+    fn handed_out(&mut self, p: PmPtr, ci: usize) {
+        self.freed.retain(|&f| f != p);
+        self.linked.insert(chunk_of(p, ci));
+    }
+
+    /// Algorithm 6 may reclaim `chunk` exactly when no object in it is
+    /// committed or reserved.
+    fn recyclable(&self, chunk: u64, ci: usize) -> bool {
+        self.committed
+            .iter()
+            .chain(&self.reserved)
+            .all(|&p| chunk_of(p, ci) != chunk)
+    }
+
+    fn recycled(&mut self, chunk: u64, ci: usize) {
+        self.linked.remove(&chunk);
+        self.freed.retain(|&f| chunk_of(f, ci) != chunk);
+    }
+}
+
+/// Chunk counts and the chunk-list mirror agree with the model.
+fn check_lists(alloc: &EPallocator, model: &[ClassModel; 3]) -> Result<(), TestCaseError> {
+    prop_assert_eq!(alloc.mirror_mismatches(), Vec::<String>::new());
+    let linked: Vec<usize> = model.iter().map(|m| m.linked.len()).collect();
+    prop_assert_eq!(alloc.stats().chunks.to_vec(), linked);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
     fn alloc_state_machine(ops in vec(arb_op(), 1..300)) {
-        let alloc = EPallocator::create(pool());
-        // Model: reserved and committed object sets per class.
-        let mut reserved: [Vec<PmPtr>; 3] = Default::default();
-        let mut committed: [Vec<PmPtr>; 3] = Default::default();
+        let pm = Arc::new(PmemPool::new(PoolConfig {
+            alloc_overhead_ns: 0,
+            ..PoolConfig::test_crash()
+        }));
+        let alloc = EPallocator::create(Arc::clone(&pm));
+        let mut model: [ClassModel; 3] = Default::default();
 
         for op in ops {
             match op {
                 Op::Alloc(ci) => {
-                    let class = ObjClass::from_idx(ci as usize);
-                    let p = alloc.alloc(class).unwrap();
+                    let ci = ci as usize;
+                    let m = &mut model[ci];
+                    let p = alloc.alloc(ObjClass::from_idx(ci)).unwrap();
                     // Never hand out something already outstanding.
-                    prop_assert!(!reserved[ci as usize].contains(&p), "double reserve");
-                    prop_assert!(!committed[ci as usize].contains(&p), "reserve of live");
-                    reserved[ci as usize].push(p);
+                    prop_assert!(!m.reserved.contains(&p), "double reserve");
+                    prop_assert!(!m.committed.contains(&p), "reserve of live");
+                    m.handed_out(p, ci);
+                    m.reserved.push(p);
                 }
                 Op::Commit(sel) => {
-                    let ci = (sel % 3) as usize;
-                    if !reserved[ci].is_empty() {
-                        let p = reserved[ci].remove(sel as usize % reserved[ci].len());
-                        alloc.commit(p, ObjClass::from_idx(ci));
-                        committed[ci].push(p);
+                    let m = &mut model[(sel % 3) as usize];
+                    if !m.reserved.is_empty() {
+                        let p = m.reserved.remove(sel as usize % m.reserved.len());
+                        alloc.commit(p, ObjClass::from_idx((sel % 3) as usize));
+                        m.committed.push(p);
                     }
                 }
                 Op::Abort(sel) => {
-                    let ci = (sel % 3) as usize;
-                    if !reserved[ci].is_empty() {
-                        let p = reserved[ci].remove(sel as usize % reserved[ci].len());
-                        alloc.abort(p, ObjClass::from_idx(ci));
+                    let m = &mut model[(sel % 3) as usize];
+                    if !m.reserved.is_empty() {
+                        let p = m.reserved.remove(sel as usize % m.reserved.len());
+                        alloc.abort(p, ObjClass::from_idx((sel % 3) as usize));
+                        m.freed.push(p);
                     }
                 }
                 Op::Retire(sel) => {
-                    let ci = (sel % 3) as usize;
-                    if !committed[ci].is_empty() {
-                        let p = committed[ci].remove(sel as usize % committed[ci].len());
-                        alloc.retire(p, ObjClass::from_idx(ci));
+                    let m = &mut model[(sel % 3) as usize];
+                    if !m.committed.is_empty() {
+                        let p = m.committed.remove(sel as usize % m.committed.len());
+                        alloc.retire(p, ObjClass::from_idx((sel % 3) as usize));
+                        m.freed.push(p);
                     }
                 }
                 Op::Recycle(sel) => {
                     let ci = (sel % 3) as usize;
-                    if !committed[ci].is_empty() {
-                        let p = committed[ci][sel as usize % committed[ci].len()];
-                        // Must refuse: the chunk holds a committed object.
-                        prop_assert!(!alloc.recycle_containing(p, ObjClass::from_idx(ci)));
+                    let m = &mut model[ci];
+                    let known: Vec<PmPtr> =
+                        m.committed.iter().chain(&m.freed).copied().collect();
+                    if !known.is_empty() {
+                        let p = known[sel as usize % known.len()];
+                        let chunk = chunk_of(p, ci);
+                        let expect = m.recyclable(chunk, ci);
+                        prop_assert_eq!(
+                            alloc.recycle_containing(p, ObjClass::from_idx(ci)),
+                            expect
+                        );
+                        if expect {
+                            m.recycled(chunk, ci);
+                        }
+                    }
+                }
+                Op::Fill(ci) => {
+                    let ci = ci as usize;
+                    let class = ObjClass::from_idx(ci);
+                    for _ in 0..OBJS_PER_CHUNK {
+                        let p = alloc.alloc(class).unwrap();
+                        alloc.commit(p, class);
+                        model[ci].handed_out(p, ci);
+                        model[ci].committed.push(p);
+                    }
+                }
+                Op::Empty(sel) => {
+                    let ci = (sel % 3) as usize;
+                    let class = ObjClass::from_idx(ci);
+                    let m = &mut model[ci];
+                    if let Some(&chunk) = m.linked.iter().nth(sel as usize % m.linked.len().max(1)) {
+                        let (gone, kept) = m.committed.iter().partition(|&&p| chunk_of(p, ci) == chunk);
+                        m.committed = kept;
+                        for p in gone {
+                            alloc.retire(p, class);
+                            m.freed.push(p);
+                        }
+                        let expect = m.recyclable(chunk, ci);
+                        prop_assert_eq!(alloc.recycle_chunk(PmPtr(chunk), class), expect);
+                        if expect {
+                            m.recycled(chunk, ci);
+                        }
                     }
                 }
             }
             // Live accounting matches the model exactly.
-            for (ci, objs) in committed.iter().enumerate() {
+            for (ci, m) in model.iter().enumerate() {
                 prop_assert_eq!(
                     alloc.live_count(ObjClass::from_idx(ci)),
-                    objs.len() as u64,
+                    m.committed.len() as u64,
                     "class {} live count", ci
                 );
             }
+            check_lists(&alloc, &model)?;
         }
         // Enumeration agrees with the model.
-        for (ci, objs) in committed.iter().enumerate() {
+        for (ci, m) in model.iter().enumerate() {
             let mut listed = Vec::new();
             alloc.for_each_live(ObjClass::from_idx(ci), |p| listed.push(p));
             let listed: BTreeSet<PmPtr> = listed.into_iter().collect();
-            let expect: BTreeSet<PmPtr> = objs.iter().copied().collect();
+            let expect: BTreeSet<PmPtr> = m.committed.iter().copied().collect();
             prop_assert_eq!(listed, expect);
         }
+
+        // Crash: reservations evaporate, and `open` recycles every chunk
+        // left without a committed object, then rebuilds the mirror.
+        drop(alloc);
+        pm.simulate_crash();
+        let alloc = EPallocator::open(pm).unwrap();
+        for (ci, m) in model.iter_mut().enumerate() {
+            m.reserved.clear();
+            m.freed.clear();
+            let live: BTreeSet<u64> = m.committed.iter().map(|&p| chunk_of(p, ci)).collect();
+            m.linked = live;
+        }
+        check_lists(&alloc, &model)?;
+        // Emptying the survivors in address order recycles chunks at every
+        // list position through the rebuilt mirror.
+        for (ci, m) in model.iter_mut().enumerate() {
+            let class = ObjClass::from_idx(ci);
+            for p in m.committed.drain(..) {
+                alloc.retire(p, class);
+            }
+            for chunk in std::mem::take(&mut m.linked) {
+                prop_assert!(alloc.recycle_chunk(PmPtr(chunk), class));
+            }
+        }
+        check_lists(&alloc, &model)?;
+        prop_assert_eq!(alloc.stats().chunks, [0, 0, 0]);
     }
 
     #[test]

@@ -211,6 +211,74 @@ fn delete_crashes_at_every_persist_point() {
 }
 
 #[test]
+fn delete_crashes_inside_a_mid_list_recycle() {
+    // 3 × 56 keys fill three chunks per class. New chunks link at the head,
+    // so the first-filled chunk is the tail of each list, and emptying it
+    // (or the middle one) takes Algorithm 6's splice path (lines 8–10)
+    // rather than the head unlink.
+    const PER_CHUNK: u64 = hart_suite::epalloc::OBJS_PER_CHUNK;
+    const N: u64 = 3 * PER_CHUNK;
+    let setup = |victims: &std::ops::Range<u64>| {
+        let pool = crash_pool(16 << 20);
+        let h = Hart::create(Arc::clone(&pool), HartConfig::default()).unwrap();
+        for i in 0..N {
+            h.insert(&k(i), &Value::from_u64(i)).unwrap();
+        }
+        for i in victims.start..victims.end - 1 {
+            assert!(h.remove(&k(i)).unwrap());
+        }
+        (pool, h)
+    };
+    for chunk in [0, 1] {
+        let victims = chunk * PER_CHUNK..(chunk + 1) * PER_CHUNK;
+        let last = victims.end - 1;
+        // Reference run: the delete of `last` empties one non-head chunk
+        // per class; count its persists to size the crash window.
+        let (_pool, h) = setup(&victims);
+        assert_eq!(h.alloc_stats().chunks, [3, 3, 0]);
+        let before = h.pm_stats().persist_calls;
+        assert!(h.remove(&k(last)).unwrap());
+        let window = h.pm_stats().persist_calls - before;
+        assert_eq!(h.alloc_stats().chunks, [2, 2, 0], "chunk {chunk} recycled");
+
+        for fuse in 0..=window {
+            let (pool, h) = setup(&victims);
+            pool.arm_persist_fuse(fuse);
+            assert!(h.remove(&k(last)).unwrap());
+            drop(h);
+            pool.simulate_crash();
+
+            let r = Hart::recover(Arc::clone(&pool), HartConfig::default()).unwrap();
+            let at = format!("chunk={chunk} fuse={fuse}");
+            assert_no_leaks(&r);
+            assert_scan_agrees_with_search(&r);
+            let rep = r.epallocator().verify();
+            assert!(rep.is_healthy(), "{at}: {rep}");
+            for i in 0..N {
+                let got = r.search(&k(i)).unwrap();
+                if i == last {
+                    assert!(got.is_none_or(|v| v.as_u64() == i), "{at}");
+                } else if victims.contains(&i) {
+                    assert_eq!(got, None, "{at}: key {i} was deleted before the crash");
+                } else {
+                    assert_eq!(got.map(|v| v.as_u64()), Some(i), "{at}: key {i}");
+                }
+            }
+            // Recovery finishes a recycle the crash cut short, and the
+            // chunk-list mirror rebuilt at open lets the remaining deletes
+            // recycle every other chunk.
+            for i in (0..N).filter(|i| !victims.contains(i) || *i == last) {
+                r.remove(&k(i)).unwrap();
+            }
+            assert_eq!(r.len(), 0, "{at}");
+            assert_eq!(r.alloc_stats().chunks, [0, 0, 0], "{at}");
+            let rep = r.epallocator().verify();
+            assert!(rep.is_healthy(), "{at}: {rep}");
+        }
+    }
+}
+
+#[test]
 fn mixed_ops_crash_then_recover_consistently() {
     // A denser mixed history with the fuse landing wherever it lands; the
     // check is pure invariants (no per-op oracle).
