@@ -483,6 +483,7 @@ fn profile(a: &Args) {
             "tree",
             "op",
             "persists/op",
+            "flushed/op",
             "pm_lines/op",
             "misses/op",
             "allocs/op",
@@ -490,21 +491,17 @@ fn profile(a: &Args) {
         ],
     );
     for kind in TreeKind::EXTENDED {
-        let pr = run_profile(kind, lat, &keys);
-        for (op, p) in [
-            ("insert", pr.insert),
-            ("search", pr.search),
-            ("update", pr.update),
-            ("delete", pr.delete),
-        ] {
+        let pr = run_profile(kind, hart::HartConfig::default(), lat, &keys);
+        for (op, p) in pr.phases {
             rep.row(vec![
                 kind.label().to_string(),
                 op.to_string(),
-                format!("{:.2}", p.persists),
-                format!("{:.2}", p.pm_reads),
-                format!("{:.2}", p.pm_misses),
-                format!("{:.3}", p.allocs),
-                format!("{:.3}", p.modeled_extra_us),
+                format!("{:.2}", p.per_op(p.persists)),
+                format!("{:.2}", p.per_op(p.lines_flushed)),
+                format!("{:.2}", p.per_op(p.read_lines)),
+                format!("{:.2}", p.per_op(p.read_misses)),
+                format!("{:.3}", p.per_op(p.raw_allocs + p.raw_frees)),
+                format!("{:.3}", p.per_op(p.extra_ns) / 1e3),
             ]);
         }
         eprintln!("[profile] {} done", kind.label());

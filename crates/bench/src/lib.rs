@@ -67,14 +67,8 @@ impl TreeKind {
 
     /// Build a fresh tree over its own pool.
     pub fn build(&self, cfg: PoolConfig) -> Box<dyn PersistentIndex> {
-        self.build_with_pool(cfg).0
-    }
-
-    /// Build a fresh tree and keep a handle to its pool (event profiling).
-    pub fn build_with_pool(&self, cfg: PoolConfig) -> (Box<dyn PersistentIndex>, Arc<PmemPool>) {
         let pool = Arc::new(PmemPool::new(cfg));
-        let p = Arc::clone(&pool);
-        let tree: Box<dyn PersistentIndex> = match self {
+        match self {
             TreeKind::Hart => {
                 Box::new(Hart::create(pool, HartConfig::default()).expect("create HART"))
             }
@@ -82,8 +76,7 @@ impl TreeKind {
             TreeKind::ArtCow => Box::new(ArtCow::create(pool).expect("create ART+CoW")),
             TreeKind::FpTree => Box::new(FpTree::create(pool).expect("create FPTree")),
             TreeKind::Wort => Box::new(Wort::create(pool).expect("create WORT")),
-        };
-        (tree, p)
+        }
     }
 
     /// Build a fresh tree with an observability snapshot source. HART
@@ -92,17 +85,32 @@ impl TreeKind {
     /// every other snapshot section zero.
     pub fn build_observed(&self, cfg: PoolConfig) -> (Box<dyn ObservedIndex>, Arc<PmemPool>) {
         let pool = Arc::new(PmemPool::new(cfg));
-        let p = Arc::clone(&pool);
-        let tree: Box<dyn ObservedIndex> = match self {
-            TreeKind::Hart => {
-                Box::new(Hart::create(pool, HartConfig::default()).expect("create HART"))
-            }
+        let tree = self.create_observed(Arc::clone(&pool), HartConfig::default());
+        (tree, pool)
+    }
+
+    /// Format `pool` for this tree (HART with configuration `hart`).
+    fn create_observed(&self, pool: Arc<PmemPool>, hart: HartConfig) -> Box<dyn ObservedIndex> {
+        match self {
+            TreeKind::Hart => Box::new(Hart::create(pool, hart).expect("create HART")),
             TreeKind::Woart => Box::new(Instrumented::new(Woart::create(pool).expect("WOART"))),
             TreeKind::ArtCow => Box::new(Instrumented::new(ArtCow::create(pool).expect("ART+CoW"))),
             TreeKind::FpTree => Box::new(Instrumented::new(FpTree::create(pool).expect("FPTree"))),
             TreeKind::Wort => Box::new(Instrumented::new(Wort::create(pool).expect("WORT"))),
-        };
-        (tree, p)
+        }
+    }
+
+    /// Reopen the tree a clean shutdown left in `pool`: HART and FPTree
+    /// rebuild their DRAM parts from PM, the radix baselines recount their
+    /// records.
+    fn open_observed(&self, pool: Arc<PmemPool>, hart: HartConfig) -> Box<dyn ObservedIndex> {
+        match self {
+            TreeKind::Hart => Box::new(Hart::recover(pool, hart).expect("recover HART")),
+            TreeKind::Woart => Box::new(Instrumented::new(Woart::open(pool).expect("WOART"))),
+            TreeKind::ArtCow => Box::new(Instrumented::new(ArtCow::open(pool).expect("ART+CoW"))),
+            TreeKind::FpTree => Box::new(Instrumented::new(FpTree::recover(pool).expect("FPTree"))),
+            TreeKind::Wort => Box::new(Instrumented::new(Wort::open(pool).expect("WORT"))),
+        }
     }
 }
 
@@ -561,73 +569,156 @@ pub fn hart_scalability_cfg(
     keys.len() as f64 / secs / 1e6
 }
 
-/// Per-phase PM event counts: the drivers of every figure, per operation.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct OpProfile {
-    /// `persistent()` calls per operation.
-    pub persists: f64,
-    /// PM cache lines read per operation.
-    pub pm_reads: f64,
-    /// Of those, simulated-cache misses per operation.
-    pub pm_misses: f64,
-    /// Raw allocator calls (alloc + free) per operation.
-    pub allocs: f64,
-    /// Modeled extra latency per operation (µs) under the pool's config.
-    pub modeled_extra_us: f64,
+/// Exact PM and allocator event totals of one profiled phase: the drivers
+/// of every figure.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PhaseCost {
+    /// Operations the phase ran (1 for the reopen).
+    pub ops: u64,
+    /// `persistent()` calls.
+    pub persists: u64,
+    /// Cache lines those calls flushed.
+    pub lines_flushed: u64,
+    /// PM cache lines read.
+    pub read_lines: u64,
+    /// Of those, simulated-cache misses.
+    pub read_misses: u64,
+    /// Raw pool allocations.
+    pub raw_allocs: u64,
+    /// Raw pool frees.
+    pub raw_frees: u64,
+    /// EPallocator object allocations (zero for trees without one).
+    pub ep_allocs: u64,
+    /// EPallocator bitmap commits.
+    pub ep_commits: u64,
+    /// EPallocator retirements.
+    pub ep_retires: u64,
+    /// EPallocator chunks recycled.
+    pub ep_recycles: u64,
+    /// Modeled extra latency (ns) under the pool's latency config.
+    pub extra_ns: u64,
 }
 
-/// Event profile of the four basic phases (harness `profile` command).
+impl PhaseCost {
+    /// `total / ops`, for per-operation tables.
+    pub fn per_op(&self, total: u64) -> f64 {
+        total as f64 / self.ops.max(1) as f64
+    }
+}
+
+/// Number of seeded ordered scans in the profile's scan phase.
+pub const PROFILE_SCANS: usize = 200;
+
+/// Row limit of each profiled scan.
+pub const PROFILE_SCAN_ROWS: usize = 50;
+
+/// Event profile of one tree (harness `profile` command): `(phase, cost)`
+/// for insert, search, scan, update, reopen and delete, in run order.
 pub struct BasicProfile {
-    pub insert: OpProfile,
-    pub search: OpProfile,
-    pub update: OpProfile,
-    pub delete: OpProfile,
+    pub phases: [(&'static str, PhaseCost); 6],
 }
 
-/// Count PM events per op for each phase. Uses `TimeMode::Model` so no
-/// latency is injected — this is pure event accounting, and it explains
-/// *why* the timed figures look the way they do.
-pub fn run_profile(kind: TreeKind, latency: LatencyConfig, keys: &[Key]) -> BasicProfile {
+/// PM and allocator counters at one instant of a profile run.
+struct Mark {
+    pm: hart_pm::PmStatsSnapshot,
+    /// EPallocator allocs, commits, retires and chunks recycled.
+    alloc: [u64; 4],
+}
+
+impl Mark {
+    fn take(pool: &PmemPool, tree: &dyn ObservedIndex) -> Mark {
+        let a = tree.obs_snapshot().alloc;
+        Mark {
+            pm: pool.stats().snapshot(),
+            alloc: [a.allocs, a.commits, a.retires, a.chunks_recycled],
+        }
+    }
+
+    fn cost_since(&self, earlier: &Mark, ops: u64) -> PhaseCost {
+        let (a, b) = (&earlier.pm, &self.pm);
+        PhaseCost {
+            ops,
+            persists: b.persist_calls - a.persist_calls,
+            lines_flushed: b.lines_flushed - a.lines_flushed,
+            read_lines: b.read_lines - a.read_lines,
+            read_misses: b.read_misses - a.read_misses,
+            raw_allocs: b.raw_allocs - a.raw_allocs,
+            raw_frees: b.raw_frees - a.raw_frees,
+            ep_allocs: self.alloc[0] - earlier.alloc[0],
+            ep_commits: self.alloc[1] - earlier.alloc[1],
+            ep_retires: self.alloc[2] - earlier.alloc[2],
+            ep_recycles: self.alloc[3] - earlier.alloc[3],
+            extra_ns: b.extra_ns() - a.extra_ns(),
+        }
+    }
+}
+
+/// Count PM and allocator events per phase: insert every key, search every
+/// key, run [`PROFILE_SCANS`] seeded scans, update every key, drop the tree
+/// and reopen it from PM, then delete every key. Uses `TimeMode::Model` so
+/// no latency is injected — this is pure event accounting, and it explains
+/// *why* the timed figures look the way they do. `hart` configures HART
+/// and is ignored by the other trees.
+pub fn run_profile(
+    kind: TreeKind,
+    hart: HartConfig,
+    latency: LatencyConfig,
+    keys: &[Key],
+) -> BasicProfile {
+    use rand::{Rng, SeedableRng};
     let cfg = PoolConfig {
         time_mode: TimeMode::Model,
         ..pool_config(latency, keys.len())
     };
-    let (tree, pool) = kind.build_with_pool(cfg);
+    let pool = Arc::new(PmemPool::new(cfg));
+    let tree = kind.create_observed(Arc::clone(&pool), hart);
     let values: Vec<Value> = keys.iter().map(value_for).collect();
-    let n = keys.len() as f64;
-    let stats = pool.stats();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x5CA7);
+    let starts: Vec<Key> = (0..PROFILE_SCANS)
+        .map(|_| keys[rng.gen_range(0..keys.len())])
+        .collect();
+    let end = max_key();
+    let n = keys.len() as u64;
 
-    let snap0 = stats.snapshot();
+    let m0 = Mark::take(&pool, &*tree);
     for (k, v) in keys.iter().zip(&values) {
         tree.insert(k, v).expect("insert");
     }
-    let snap1 = stats.snapshot();
+    let m1 = Mark::take(&pool, &*tree);
     for k in keys {
         let _ = tree.search(k).expect("search");
     }
-    let snap2 = stats.snapshot();
+    let m2 = Mark::take(&pool, &*tree);
+    for s in &starts {
+        let _ = tree.scan(s, &end, PROFILE_SCAN_ROWS).expect("scan");
+    }
+    let m3 = Mark::take(&pool, &*tree);
     for (k, v) in keys.iter().zip(&values) {
         tree.update(k, &Value::from_u64(v.as_u64() ^ 1))
             .expect("update");
     }
-    let snap3 = stats.snapshot();
+    let m4 = Mark::take(&pool, &*tree);
+    drop(tree);
+    let tree = kind.open_observed(Arc::clone(&pool), hart);
+    let m5 = Mark::take(&pool, &*tree);
     for k in keys {
         tree.remove(k).expect("delete");
     }
-    let snap4 = stats.snapshot();
-
-    let diff = |a: hart_pm::PmStatsSnapshot, b: hart_pm::PmStatsSnapshot| OpProfile {
-        persists: (b.persist_calls - a.persist_calls) as f64 / n,
-        pm_reads: (b.read_lines - a.read_lines) as f64 / n,
-        pm_misses: (b.read_misses - a.read_misses) as f64 / n,
-        allocs: ((b.raw_allocs - a.raw_allocs) + (b.raw_frees - a.raw_frees)) as f64 / n,
-        modeled_extra_us: (b.extra_ns() - a.extra_ns()) as f64 / n / 1e3,
+    let m6 = Mark::take(&pool, &*tree);
+    // The reopened tree's allocator counters start at zero.
+    let m4_fresh = Mark {
+        pm: m4.pm,
+        alloc: [0; 4],
     };
     BasicProfile {
-        insert: diff(snap0, snap1),
-        search: diff(snap1, snap2),
-        update: diff(snap2, snap3),
-        delete: diff(snap3, snap4),
+        phases: [
+            ("insert", m1.cost_since(&m0, n)),
+            ("search", m2.cost_since(&m1, n)),
+            ("scan", m3.cost_since(&m2, PROFILE_SCANS as u64)),
+            ("update", m4.cost_since(&m3, n)),
+            ("reopen", m5.cost_since(&m4_fresh, 1)),
+            ("delete", m6.cost_since(&m5, n)),
+        ],
     }
 }
 
