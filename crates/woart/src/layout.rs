@@ -5,7 +5,7 @@
 //! pay `persistent()` costs). Layouts, offsets in bytes:
 //!
 //! ```text
-//! common header   0 type | 1 prefix_len | 2..4 count (u16) | 4..28 prefix
+//! common header   0 type | 1 prefix_len | 2..4 word (u16) | 4..28 prefix
 //! NODE4           28..32 keys[4]            32..64   children[4]    (64 B)
 //! NODE16          28..44 keys[16], pad      48..176  children[16]  (176 B)
 //! NODE48          28..284 index[256], pad   288..672 children[48]  (672 B)
@@ -16,8 +16,12 @@
 //! are ≥8-byte aligned, so the bit is free), `0` is null — the 8-byte unit
 //! every publish step stores atomically.
 //!
-//! NODE4/NODE16 keep keys *unsorted* and append new entries, as WOART does:
-//! sorted insertion would shift entries, multiplying PM writes.
+//! NODE4/NODE16 keep keys *unsorted*, as WOART does: sorted insertion would
+//! shift entries, multiplying PM writes. Their header word is a validity
+//! bitmap (bit `i` set = entry `i` live; count = popcount): an add writes
+//! a free entry and then sets its bit, a remove clears one bit, so every
+//! change commits with one store to the header. NODE48/NODE256 keep a live
+//! count there instead.
 //!
 //! Leaves reuse HART's 40-byte layout (`hart_epalloc::leaf_*`): complete
 //! key, key/value lengths, out-of-leaf value pointer.
@@ -173,14 +177,40 @@ pub fn node_type(pool: &PmemPool, node: PmPtr) -> u8 {
     pool.read::<u8>(node.add(OFF_TYPE))
 }
 
-/// Live child count.
+/// Live child count (one header read).
 #[inline]
 pub fn node_count(pool: &PmemPool, node: PmPtr) -> usize {
-    pool.read::<u16>(node.add(OFF_COUNT)) as usize
+    let h = pool.read::<u32>(node.add(OFF_TYPE)).to_ne_bytes();
+    live_count(h[0], u16::from_ne_bytes([h[2], h[3]]))
+}
+
+/// The header word: NODE4/NODE16 validity bitmap, NODE48/NODE256 count.
+#[inline]
+fn node_word(pool: &PmemPool, node: PmPtr) -> u16 {
+    pool.read::<u16>(node.add(OFF_COUNT))
+}
+
+/// Live children of a node of kind `nt` with header word `word`.
+#[inline]
+fn live_count(nt: u8, word: u16) -> usize {
+    match nt {
+        NT_N4 | NT_N16 => word.count_ones() as usize,
+        _ => word as usize,
+    }
+}
+
+/// Whether bitmap entry `i` is live.
+#[inline]
+fn live(word: u16, i: usize) -> bool {
+    word & (1 << i) != 0
+}
+
+fn set_word(pool: &PmemPool, node: PmPtr, w: u16) {
+    write_vol(pool, node.add(OFF_COUNT), &w);
 }
 
 fn set_count(pool: &PmemPool, node: PmPtr, c: usize) {
-    write_vol(pool, node.add(OFF_COUNT), &(c as u16));
+    set_word(pool, node, c as u16);
 }
 
 /// Compressed path prefix.
@@ -208,20 +238,20 @@ pub fn persist_header(pool: &PmemPool, node: PmPtr) {
 /// Find the slot (pointer to the 8-byte child word) for edge byte `b`.
 pub fn find_child_slot(pool: &PmemPool, node: PmPtr, b: u8) -> Option<PmPtr> {
     let nt = node_type(pool, node);
-    let count = node_count(pool, node);
+    let word = node_word(pool, node);
     match nt {
         NT_N4 => {
             let mut keys = [0u8; 4];
             pool.read_bytes(node.add(N4_KEYS), &mut keys);
-            (0..count)
-                .find(|&i| keys[i] == b)
+            (0..4)
+                .find(|&i| live(word, i) && keys[i] == b)
                 .map(|i| node.add(N4_CHILDREN + 8 * i as u64))
         }
         NT_N16 => {
             let mut keys = [0u8; 16];
             pool.read_bytes(node.add(N16_KEYS), &mut keys);
-            (0..count)
-                .find(|&i| keys[i] == b)
+            (0..16)
+                .find(|&i| live(word, i) && keys[i] == b)
                 .map(|i| node.add(N16_CHILDREN + 8 * i as u64))
         }
         NT_N48 => {
@@ -240,31 +270,36 @@ pub fn find_child_slot(pool: &PmemPool, node: PmPtr, b: u8) -> Option<PmPtr> {
 /// (caller grows first). Writes the entry then persists the touched
 /// region(s) — the WOART-style append.
 pub fn add_child(pool: &PmemPool, node: PmPtr, b: u8, child: Tagged) -> bool {
-    debug_assert!(
-        find_child_slot(pool, node, b).is_none(),
-        "duplicate edge {b}"
-    );
     let nt = node_type(pool, node);
-    let count = node_count(pool, node);
-    if count == node_capacity(nt) {
+    let word = node_word(pool, node);
+    let count = live_count(nt, word);
+    if nt != NT_N256 && count >= node_capacity(nt) {
         return false;
     }
     match nt {
         NT_N4 => {
-            pool.write(node.add(N4_KEYS + count as u64), &b);
-            pool.write_u64_atomic(node.add(N4_CHILDREN + 8 * count as u64), child.encode());
-            set_count(pool, node, count + 1);
-            // Entire NODE4 is one line: single flush covers entry + count.
+            let i = word.trailing_ones() as u64;
+            pool.write(node.add(N4_KEYS + i), &b);
+            pool.write_u64_atomic(node.add(N4_CHILDREN + 8 * i), child.encode());
+            set_word(pool, node, word | 1 << i);
+            // Entire NODE4 is one line: single flush covers entry + bit.
             persist_header(pool, node);
         }
         NT_N16 => {
-            pool.write(node.add(N16_KEYS + count as u64), &b);
-            pool.write_u64_atomic(node.add(N16_CHILDREN + 8 * count as u64), child.encode());
-            pool.persist(node.add(N16_CHILDREN + 8 * count as u64), 8);
-            set_count(pool, node, count + 1);
+            let i = word.trailing_ones() as u64;
+            pool.write(node.add(N16_KEYS + i), &b);
+            pool.write_u64_atomic(node.add(N16_CHILDREN + 8 * i), child.encode());
+            pool.persist(node.add(N16_CHILDREN + 8 * i), 8);
+            set_word(pool, node, word | 1 << i);
             persist_header(pool, node);
         }
         NT_N48 => {
+            // The count is persisted before the child slot and the index
+            // byte (and dropped after them on removal), so after a crash it
+            // stays an upper bound on the non-null child slots: a count
+            // below 48 always leaves a free slot.
+            set_count(pool, node, count + 1);
+            persist_header(pool, node);
             // First free child slot (deletes leave holes).
             let mut slot = None;
             for i in 0..48u64 {
@@ -278,14 +313,12 @@ pub fn add_child(pool: &PmemPool, node: PmPtr, b: u8, child: Tagged) -> bool {
             pool.persist(node.add(N48_CHILDREN + 8 * i), 8);
             pool.write(node.add(N48_INDEX + b as u64), &(i as u8));
             pool.persist(node.add(N48_INDEX + b as u64), 1);
-            set_count(pool, node, count + 1);
-            persist_header(pool, node);
         }
         NT_N256 => {
-            pool.write_u64_atomic(node.add(N256_CHILDREN + 8 * b as u64), child.encode());
-            pool.persist(node.add(N256_CHILDREN + 8 * b as u64), 8);
             set_count(pool, node, count + 1);
             persist_header(pool, node);
+            pool.write_u64_atomic(node.add(N256_CHILDREN + 8 * b as u64), child.encode());
+            pool.persist(node.add(N256_CHILDREN + 8 * b as u64), 8);
         }
         _ => panic!("bad node type {nt}"),
     }
@@ -295,30 +328,23 @@ pub fn add_child(pool: &PmemPool, node: PmPtr, b: u8, child: Tagged) -> bool {
 /// Remove the edge for byte `b`. Returns `false` when absent.
 pub fn remove_child(pool: &PmemPool, node: PmPtr, b: u8) -> bool {
     let nt = node_type(pool, node);
-    let count = node_count(pool, node);
+    let word = node_word(pool, node);
+    let count = live_count(nt, word);
     match nt {
         NT_N4 | NT_N16 => {
-            let (keys_off, ch_off, cap) = if nt == NT_N4 {
-                (N4_KEYS, N4_CHILDREN, 4usize)
+            let (keys_off, cap) = if nt == NT_N4 {
+                (N4_KEYS, 4usize)
             } else {
-                (N16_KEYS, N16_CHILDREN, 16usize)
+                (N16_KEYS, 16usize)
             };
             let mut keys = [0u8; 16];
             pool.read_bytes(node.add(keys_off), &mut keys[..cap]);
-            let Some(pos) = (0..count).find(|&i| keys[i] == b) else {
+            let Some(pos) = (0..cap).find(|&i| live(word, i) && keys[i] == b) else {
                 return false;
             };
-            // Unsorted arrays: swap the last entry into the hole.
-            let last = count - 1;
-            if pos != last {
-                let last_key = keys[last];
-                let last_child = pool.read::<u64>(node.add(ch_off + 8 * last as u64));
-                pool.write(node.add(keys_off + pos as u64), &last_key);
-                pool.write_u64_atomic(node.add(ch_off + 8 * pos as u64), last_child);
-                pool.persist(node.add(ch_off + 8 * pos as u64), 8);
-            }
-            pool.write_u64_atomic(node.add(ch_off + 8 * last as u64), 0);
-            set_count(pool, node, count - 1);
+            // One bit clear retires the entry; its bytes stay until a
+            // later add reuses the position.
+            set_word(pool, node, word & !(1 << pos));
             persist_header(pool, node);
             true
         }
@@ -353,8 +379,8 @@ pub fn remove_child(pool: &PmemPool, node: PmPtr, b: u8) -> bool {
 /// All live `(byte, child)` edges, sorted by byte (for ordered traversal).
 pub fn children_sorted(pool: &PmemPool, node: PmPtr) -> Vec<(u8, Tagged)> {
     let nt = node_type(pool, node);
-    let count = node_count(pool, node);
-    let mut out = Vec::with_capacity(count);
+    let word = node_word(pool, node);
+    let mut out = Vec::with_capacity(live_count(nt, word));
     match nt {
         NT_N4 | NT_N16 => {
             let (keys_off, ch_off, cap) = if nt == NT_N4 {
@@ -364,8 +390,10 @@ pub fn children_sorted(pool: &PmemPool, node: PmPtr) -> Vec<(u8, Tagged)> {
             };
             let mut keys = [0u8; 16];
             pool.read_bytes(node.add(keys_off), &mut keys[..cap]);
-            for (i, &b) in keys[..count].iter().enumerate() {
-                out.push((b, read_slot(pool, node.add(ch_off + 8 * i as u64))));
+            for (i, &b) in keys[..cap].iter().enumerate() {
+                if live(word, i) {
+                    out.push((b, read_slot(pool, node.add(ch_off + 8 * i as u64))));
+                }
             }
             out.sort_unstable_by_key(|(b, _)| *b);
         }
@@ -408,26 +436,22 @@ pub fn copy_to_kind(pool: &PmemPool, node: PmPtr, new_nt: u8) -> Result<PmPtr> {
 /// that will be persisted wholesale before publication.
 pub fn add_child_volatile(pool: &PmemPool, node: PmPtr, b: u8, child: Tagged) -> bool {
     let nt = node_type(pool, node);
-    let count = node_count(pool, node);
+    let word = node_word(pool, node);
+    let count = live_count(nt, word);
     if count == node_capacity(nt) {
         return false;
     }
     match nt {
-        NT_N4 => {
-            write_vol(pool, node.add(N4_KEYS + count as u64), &b);
-            write_vol_u64(
-                pool,
-                node.add(N4_CHILDREN + 8 * count as u64),
-                child.encode(),
-            );
-        }
-        NT_N16 => {
-            write_vol(pool, node.add(N16_KEYS + count as u64), &b);
-            write_vol_u64(
-                pool,
-                node.add(N16_CHILDREN + 8 * count as u64),
-                child.encode(),
-            );
+        NT_N4 | NT_N16 => {
+            let (keys_off, ch_off) = if nt == NT_N4 {
+                (N4_KEYS, N4_CHILDREN)
+            } else {
+                (N16_KEYS, N16_CHILDREN)
+            };
+            let i = word.trailing_ones() as u64;
+            write_vol(pool, node.add(keys_off + i), &b);
+            write_vol_u64(pool, node.add(ch_off + 8 * i), child.encode());
+            set_word(pool, node, word | 1 << i);
         }
         NT_N48 => {
             write_vol(pool, node.add(N48_INDEX + b as u64), &(count as u8));
@@ -436,13 +460,14 @@ pub fn add_child_volatile(pool: &PmemPool, node: PmPtr, b: u8, child: Tagged) ->
                 node.add(N48_CHILDREN + 8 * count as u64),
                 child.encode(),
             );
+            set_count(pool, node, count + 1);
         }
         NT_N256 => {
             write_vol_u64(pool, node.add(N256_CHILDREN + 8 * b as u64), child.encode());
+            set_count(pool, node, count + 1);
         }
         _ => panic!("bad node type {nt}"),
     }
-    set_count(pool, node, count + 1);
     true
 }
 

@@ -158,18 +158,21 @@ impl Woart {
                     m += 1;
                 }
                 if m < p.len() {
-                    // Prefix split: build the new parent, truncate the old
-                    // node's prefix, then publish.
+                    // Prefix split: the published node keeps its prefix; a
+                    // copy with the truncated prefix goes under the new
+                    // parent, and one slot store publishes both.
                     let e_old = p[m];
                     let b_new = tb(kb, depth + m);
                     let new_leaf = self.make_leaf(key, value)?;
+                    let truncated = copy_to_kind(pool, n, node_type(pool, n))?;
+                    set_prefix(pool, truncated, &p[m + 1..]);
+                    persist_node(pool, truncated);
                     let parent = alloc_node(pool, NT_N4, &p[..m])?;
-                    add_child_volatile(pool, parent, e_old, Tagged::Node(n));
+                    add_child_volatile(pool, parent, e_old, Tagged::Node(truncated));
                     add_child_volatile(pool, parent, b_new, Tagged::Leaf(new_leaf));
                     persist_node(pool, parent);
-                    set_prefix(pool, n, &p[m + 1..]);
-                    persist_header(pool, n);
                     publish_slot(pool, slot, Tagged::Node(parent));
+                    free_node(pool, n);
                     Ok(true)
                 } else {
                     let depth = depth + p.len();
@@ -240,6 +243,9 @@ impl Woart {
                     free_node(pool, node);
                 }
                 Tagged::Node(gn) => {
+                    // Fold the prefix into a copy of the grandchild: the
+                    // published one stays valid until the slot store.
+                    let folded = copy_to_kind(pool, gn, node_type(pool, gn))?;
                     let mut buf = [0u8; MAX_KEY_LEN];
                     let a = prefix(pool, node);
                     let c = prefix(pool, gn);
@@ -248,9 +254,10 @@ impl Woart {
                     buf[..a.len()].copy_from_slice(a.as_slice());
                     buf[a.len()] = eb;
                     buf[a.len() + 1..total].copy_from_slice(c.as_slice());
-                    set_prefix(pool, gn, &buf[..total]);
-                    persist_header(pool, gn);
-                    publish_slot(pool, slot, Tagged::Node(gn));
+                    set_prefix(pool, folded, &buf[..total]);
+                    persist_node(pool, folded);
+                    publish_slot(pool, slot, Tagged::Node(folded));
+                    free_node(pool, gn);
                     free_node(pool, node);
                 }
                 Tagged::Null => unreachable!("count==1 implies a live child"),

@@ -72,8 +72,16 @@ fn set_prefix(pool: &PmemPool, node: PmPtr, p: &[u8]) {
     pool.write_bytes(node.add(OFF_PREFIX), &buf);
 }
 
-fn persist_header(pool: &PmemPool, node: PmPtr) {
-    pool.persist(node, OFF_CHILDREN as usize);
+/// Persisted copy of `node` under a new prefix (the published node is left
+/// untouched, so a crash before the slot store that publishes the copy
+/// loses nothing).
+fn copy_with_prefix(pool: &PmemPool, node: PmPtr, prefix: &[u8]) -> Result<PmPtr> {
+    let copy = alloc_node(pool, prefix)?;
+    for (b, child) in children(pool, node) {
+        pool.write_u64_atomic(child_slot(copy, b), child.encode());
+    }
+    persist_node(pool, copy);
+    Ok(copy)
 }
 
 #[inline]
@@ -251,22 +259,26 @@ impl Wort {
                     m += 1;
                 }
                 if m < plen {
-                    // Prefix split, WOART-style: new parent + truncated old
-                    // prefix, then one atomic publish.
+                    // Prefix split: a copy of the old node with the
+                    // truncated prefix goes under a new parent, and one
+                    // atomic slot store publishes both.
                     let e_old = p[m];
                     let b_new = nib(kb, depth + m);
                     debug_assert_ne!(e_old, b_new);
                     let new_leaf = self.make_leaf(key, value)?;
+                    let truncated = copy_with_prefix(pool, n, &p[m + 1..plen])?;
                     let parent = alloc_node(pool, &p[..m])?;
-                    pool.write_u64_atomic(child_slot(parent, e_old), Tagged::Node(n).encode());
+                    pool.write_u64_atomic(
+                        child_slot(parent, e_old),
+                        Tagged::Node(truncated).encode(),
+                    );
                     pool.write_u64_atomic(
                         child_slot(parent, b_new),
                         Tagged::Leaf(new_leaf).encode(),
                     );
                     persist_node(pool, parent);
-                    set_prefix(pool, n, &p[m + 1..plen]);
-                    persist_header(pool, n);
                     publish_slot(pool, slot, Tagged::Node(parent));
+                    free_node(pool, n);
                     Ok(true)
                 } else {
                     let depth = depth + plen;
@@ -288,7 +300,7 @@ impl Wort {
 
     /// Post-delete maintenance: empty nodes vanish; single-child nodes
     /// collapse into the child when the merged prefix fits.
-    fn fixup(&self, slot: PmPtr, node: PmPtr) {
+    fn fixup(&self, slot: PmPtr, node: PmPtr) -> Result<()> {
         let pool = &self.pool;
         let kids = children(pool, node);
         match kids.len() {
@@ -311,9 +323,9 @@ impl Wort {
                             merged.extend_from_slice(&p[..plen]);
                             merged.push(eb);
                             merged.extend_from_slice(&gp[..gplen]);
-                            set_prefix(pool, gn, &merged);
-                            persist_header(pool, gn);
-                            publish_slot(pool, slot, Tagged::Node(gn));
+                            let folded = copy_with_prefix(pool, gn, &merged)?;
+                            publish_slot(pool, slot, Tagged::Node(folded));
+                            free_node(pool, gn);
                             free_node(pool, node);
                         }
                         // Otherwise keep the single-child node: correct,
@@ -324,9 +336,10 @@ impl Wort {
             }
             _ => {}
         }
+        Ok(())
     }
 
-    fn remove_rec(&self, slot: PmPtr, key: &[u8], depth: usize) -> bool {
+    fn remove_rec(&self, slot: PmPtr, key: &[u8], depth: usize) -> Result<bool> {
         let pool = &self.pool;
         let Tagged::Node(node) = read_slot(pool, slot) else {
             unreachable!()
@@ -335,7 +348,7 @@ impl Wort {
         let kmax = nib_len(key);
         for (i, &pn) in p[..plen].iter().enumerate() {
             if depth + i >= kmax || nib(key, depth + i) != pn {
-                return false;
+                return Ok(false);
             }
         }
         let depth = depth + plen;
@@ -352,12 +365,12 @@ impl Wort {
                     false
                 }
             }
-            Tagged::Node(_) => self.remove_rec(cslot, key, depth + 1),
+            Tagged::Node(_) => self.remove_rec(cslot, key, depth + 1)?,
         };
         if removed {
-            self.fixup(slot, node);
+            self.fixup(slot, node)?;
         }
-        removed
+        Ok(removed)
     }
 
     /// In-order traversal over every leaf (nibble order = byte order).
@@ -540,7 +553,7 @@ impl PersistentIndex for Wort {
                     false
                 }
             }
-            Tagged::Node(_) => self.remove_rec(self.root_slot, kb, 0),
+            Tagged::Node(_) => self.remove_rec(self.root_slot, kb, 0)?,
         };
         if removed {
             self.len.fetch_sub(1, Ordering::Relaxed);
