@@ -36,8 +36,9 @@
 //! locked path would have returned at that version.
 
 use crate::node::{Child, Node, Repr};
-use crate::tree::{prefix_gt, prefix_lt, tb, Art, KeyResolver};
+use crate::tree::{tb, Art, KeyResolver};
 use hart_kv::MAX_KEY_LEN;
+use std::marker::PhantomData;
 use std::mem::MaybeUninit;
 use std::ptr::{self, addr_of};
 
@@ -204,12 +205,17 @@ where
     RawRead::Retry
 }
 
-/// Lock-free range scan: collects every leaf whose key lies in
-/// `[start, end]` into `out`, in ascending key order.
+/// Lock-free range scan: appends to `out`, in ascending key order, the
+/// first `cap` leaves whose key lies in `[start, end]` (`end = None`: no
+/// upper bound).
 ///
 /// Returns `true` on success; `false` means a writer interfered — `out` is
 /// truncated back to its original length and the caller must retry or fall
 /// back to the locked [`Art::for_each_in_range`].
+///
+/// The walk loads a leaf's key only while the leaf's path is a proper
+/// prefix of `start` or a prefix of `end` (see [`range_walk`]), so a walk
+/// over a range that covers the whole tree loads no key at all.
 ///
 /// # Safety
 /// Same contract as [`search_raw`].
@@ -217,7 +223,8 @@ pub unsafe fn range_collect_raw<L, R, V>(
     art: *const Art<L>,
     r: &R,
     start: &[u8],
-    end: &[u8],
+    end: Option<&[u8]>,
+    cap: usize,
     validate: &V,
     out: &mut Vec<L>,
 ) -> bool
@@ -227,127 +234,274 @@ where
     V: Fn() -> bool,
 {
     let keep = out.len();
-    if start > end {
-        return true;
-    }
-    let root_mu = vol_copy(addr_of!((*art).root));
-    if !validate() {
-        return false;
-    }
-    let ok = match &*root_mu.as_ptr() {
-        None => true,
-        Some(c) => {
-            let cur = ptr::read(c as *const Child<L> as *const MaybeUninit<Child<L>>);
-            let mut path: Vec<u8> = Vec::with_capacity(MAX_KEY_LEN);
-            walk_raw(&cur, r, &mut path, start, end, validate, out, 0)
-        }
-    };
+    let ok = range_walk(art, r, start, end, cap, validate, |leaf| out.push(leaf));
     if !ok {
         out.truncate(keep);
     }
     ok
 }
 
-/// Recursive worker for [`range_collect_raw`]. `cur` is a validated copy of
-/// a committed child. Returns `false` on any validation failure.
-#[allow(clippy::too_many_arguments)]
-unsafe fn walk_raw<L, R, V>(
-    cur: &MaybeUninit<Child<L>>,
+/// The one ordered range walk, behind both [`range_collect_raw`] and the
+/// locked [`Art::for_each_in_range`]: hands `emit` the first `cap` leaves
+/// whose key lies in `[start, end]`, in ascending key order.
+///
+/// ART prefixes are stored whole and keys hold no NUL, so every key under a
+/// path `p` starts with `p`, and the leaf behind a terminator edge has
+/// exactly the key `p`. Once `p` is no longer a proper prefix of `start`,
+/// nothing under it sorts below `start`; once it is no longer a prefix of
+/// `end`, nothing under it sorts above `end`. The walk tracks these two
+/// [`Spines`] and loads a leaf's key only while one of them holds; every
+/// other leaf it reaches is in range by its path alone.
+///
+/// It stops after `cap` leaves, or at the first edge past `end`. Returns
+/// `false` on any failed validation, including a final one after the walk
+/// stops, so a `true` result is one committed snapshot even where the walk
+/// acted on bytes (edge keys, indices) it never validated one by one.
+///
+/// # Safety
+/// Same contract as [`search_raw`].
+pub(crate) unsafe fn range_walk<L, R, V, E>(
+    art: *const Art<L>,
     r: &R,
-    path: &mut Vec<u8>,
     start: &[u8],
-    end: &[u8],
+    end: Option<&[u8]>,
+    cap: usize,
     validate: &V,
-    out: &mut Vec<L>,
-    level: usize,
+    emit: E,
 ) -> bool
 where
     L: Copy,
     R: KeyResolver<L>,
     V: Fn() -> bool,
+    E: FnMut(L),
 {
-    if level > MAX_KEY_LEN + 2 {
-        return false; // torn data led us in circles
+    if cap == 0 || end.is_some_and(|e| start > e) {
+        return true;
     }
-    match &*cur.as_ptr() {
-        Child::Leaf(l) => {
-            let leaf: L = *l;
-            let k = r.load_key(&leaf);
-            let ks = k.as_slice();
-            let in_range = ks >= start && ks <= end;
-            if !validate() {
-                return false;
-            }
-            if in_range {
-                out.push(leaf);
-            }
-            true
+    let root_mu = vol_copy(addr_of!((*art).root));
+    if !validate() {
+        return false;
+    }
+    let mut walk = RangeWalk {
+        r,
+        start,
+        end,
+        validate,
+        emit,
+        left: cap,
+        path: Vec::with_capacity(MAX_KEY_LEN),
+        leaf: PhantomData,
+    };
+    let ok = match &*root_mu.as_ptr() {
+        None => true,
+        Some(c) => {
+            let root = ptr::read(c as *const Child<L> as *const MaybeUninit<Child<L>>);
+            let on = Spines {
+                start: !start.is_empty(),
+                end: end.is_some(),
+            };
+            walk.child(&root, on, 0)
         }
-        Child::Inner(bx) => {
-            let node_ptr: *const Node<L> = &**bx;
-            let node_mu = vol_copy(node_ptr);
-            if !validate() {
+    };
+    ok && validate()
+}
+
+/// Which range bounds can still cut the subtree under the walk's path:
+/// `start` while the path is a proper prefix of `start`, `end` while it is
+/// a prefix of `end`. Off both spines, every key below is in range.
+#[derive(Clone, Copy)]
+struct Spines {
+    start: bool,
+    end: bool,
+}
+
+impl Spines {
+    const OFF: Spines = Spines {
+        start: false,
+        end: false,
+    };
+}
+
+/// Where the keys under the walk's path lie relative to the range.
+enum Place {
+    /// All below `start`: skip this subtree.
+    Below,
+    /// Some may be in range; the spines the subtree is still on.
+    Inside(Spines),
+    /// All above `end`: this subtree and everything after it.
+    Above,
+}
+
+/// State of one [`range_walk`].
+struct RangeWalk<'a, L, R, V, E> {
+    r: &'a R,
+    start: &'a [u8],
+    end: Option<&'a [u8]>,
+    validate: &'a V,
+    emit: E,
+    /// Leaves still wanted; 0 stops the walk.
+    left: usize,
+    /// Key bytes consumed so far: node prefixes and non-terminator edges.
+    path: Vec<u8>,
+    leaf: PhantomData<fn(L)>,
+}
+
+impl<L, R, V, E> RangeWalk<'_, L, R, V, E>
+where
+    L: Copy,
+    R: KeyResolver<L>,
+    V: Fn() -> bool,
+    E: FnMut(L),
+{
+    /// Walk `cur`, a validated copy of a committed child reached along
+    /// `self.path` while on the spines `on`. Returns `false` on any
+    /// validation failure.
+    unsafe fn child(&mut self, cur: &MaybeUninit<Child<L>>, on: Spines, level: usize) -> bool {
+        if level > MAX_KEY_LEN + 2 {
+            return false; // torn data led us in circles
+        }
+        match &*cur.as_ptr() {
+            Child::Leaf(l) => self.leaf(*l, on),
+            Child::Inner(bx) => self.inner(&**bx, on, level),
+        }
+    }
+
+    /// Emit `leaf` if its key is in range, loading the key only while the
+    /// walk is on a spine.
+    unsafe fn leaf(&mut self, leaf: L, on: Spines) -> bool {
+        if on.start || on.end {
+            let k = self.r.load_key(&leaf);
+            let ks = k.as_slice();
+            let in_range = ks >= self.start && self.end.is_none_or(|e| ks <= e);
+            if !(self.validate)() {
                 return false;
             }
-            let node = &*node_mu.as_ptr();
-            let before = path.len();
-            path.extend_from_slice(node.prefix.as_slice());
-            if prefix_lt(path, start) || prefix_gt(path, end) {
-                path.truncate(before);
+            if !in_range {
                 return true;
             }
-            let ok = each_edge_raw(node, validate, |b, slot_mu| {
-                if b == 0 {
-                    walk_raw(slot_mu, r, path, start, end, validate, out, level + 1)
-                } else {
-                    path.push(b);
-                    let ok = if prefix_lt(path, start) || prefix_gt(path, end) {
-                        true
-                    } else {
-                        walk_raw(slot_mu, r, path, start, end, validate, out, level + 1)
-                    };
-                    path.pop();
-                    ok
-                }
-            });
-            path.truncate(before);
-            ok
         }
+        (self.emit)(leaf);
+        self.left -= 1;
+        true
+    }
+
+    unsafe fn inner(&mut self, node_ptr: *const Node<L>, on: Spines, level: usize) -> bool {
+        let node_mu = vol_copy(node_ptr);
+        if !(self.validate)() {
+            return false;
+        }
+        let node = &*node_mu.as_ptr();
+        let before = self.path.len();
+        self.path.extend_from_slice(node.prefix.as_slice());
+        let ok = match self.place(on) {
+            Place::Below => true,
+            Place::Above => {
+                self.left = 0;
+                true
+            }
+            Place::Inside(on) => self.edges(node, on, level),
+        };
+        self.path.truncate(before);
+        ok
+    }
+
+    /// Walk the edges of `node` (a validated copy whose prefix is already
+    /// on `self.path`) in ascending byte order.
+    unsafe fn edges(&mut self, node: &Node<L>, on: Spines, level: usize) -> bool {
+        let mut ok = true;
+        each_edge_raw(node, |b, slot| {
+            let place = if b == 0 {
+                // Terminator edge: the leaf's key is the path itself, below
+                // `start` exactly when the path is a proper prefix of it.
+                if on.start {
+                    Place::Below
+                } else {
+                    Place::Inside(Spines::OFF)
+                }
+            } else {
+                self.path.push(b);
+                self.place(on)
+            };
+            match place {
+                Place::Below => {}
+                Place::Above => self.left = 0,
+                Place::Inside(child_on) => {
+                    let slot_mu = vol_copy(slot);
+                    ok = (self.validate)();
+                    if ok {
+                        if let Some(c) = &*slot_mu.as_ptr() {
+                            let child =
+                                ptr::read(c as *const Child<L> as *const MaybeUninit<Child<L>>);
+                            ok = self.child(&child, child_on, level + 1);
+                        }
+                    }
+                }
+            }
+            if b != 0 {
+                self.path.pop();
+            }
+            ok && self.left > 0
+        });
+        ok
+    }
+
+    /// Place the subtree under `self.path`, which has just grown past a
+    /// point where the walk was on the spines `on`.
+    fn place(&self, on: Spines) -> Place {
+        let p = self.path.as_slice();
+        let mut next = Spines::OFF;
+        if on.start {
+            if prefix_lt(p, self.start) {
+                return Place::Below;
+            }
+            next.start = p.len() < self.start.len() && self.start.starts_with(p);
+        }
+        if let (true, Some(e)) = (on.end, self.end) {
+            if prefix_gt(p, e) {
+                return Place::Above;
+            }
+            next.end = e.starts_with(p);
+        }
+        Place::Inside(next)
     }
 }
 
-/// Visit the live edges of a validated node copy in ascending byte order,
-/// copy-validating each child slot before handing it to `f`. Stops early
-/// (returning `false`) on validation failure or when `f` does.
-unsafe fn each_edge_raw<L, V, F>(node: &Node<L>, validate: &V, mut f: F) -> bool
+/// All keys prefixed by `p` are strictly greater than `end`.
+fn prefix_gt(p: &[u8], end: &[u8]) -> bool {
+    let m = p.len().min(end.len());
+    if p[..m] != end[..m] {
+        p[..m] > end[..m]
+    } else {
+        p.len() > end.len()
+    }
+}
+
+/// All keys prefixed by `p` are strictly less than `start`.
+fn prefix_lt(p: &[u8], start: &[u8]) -> bool {
+    let m = p.len().min(start.len());
+    p[..m] < start[..m]
+}
+
+/// Hand `f` the edges of a validated node copy in ascending byte order —
+/// each edge byte with a pointer to its child slot, not yet copied — until
+/// `f` returns `false`. Edge bytes and indices are read unvalidated
+/// (clamped to the arrays), so the caller validates before trusting them.
+///
+/// # Safety
+/// `node` must be a validated copy of a committed node whose representation
+/// boxes are still mapped (EBR pin).
+unsafe fn each_edge_raw<L, F>(node: &Node<L>, mut f: F)
 where
-    V: Fn() -> bool,
-    F: FnMut(u8, &MaybeUninit<Child<L>>) -> bool,
+    F: FnMut(u8, *const Option<Child<L>>) -> bool,
 {
-    // Emit one validated (byte, slot-pointer) pair at a time.
-    let mut visit = |b: u8, slot: *const Option<Child<L>>| -> Option<bool> {
-        let slot_mu = vol_copy(slot);
-        if !validate() {
-            return Some(false);
-        }
-        match &*slot_mu.as_ptr() {
-            None => None, // empty slot: skip (validated, so genuinely absent)
-            Some(c) => {
-                let child = ptr::read(c as *const Child<L> as *const MaybeUninit<Child<L>>);
-                Some(f(b, &child))
-            }
-        }
-    };
     match &node.repr {
         Repr::N4(bx) => {
             let n = &**bx;
             let keys = vol_copy(addr_of!(n.keys)).assume_init();
             let c = (node.count as usize).min(4);
             for (i, &k) in keys.iter().enumerate().take(c) {
-                if let Some(ok) = visit(k, addr_of!(n.children[i])) {
-                    if !ok {
-                        return false;
-                    }
+                if !f(k, addr_of!(n.children[i])) {
+                    return;
                 }
             }
         }
@@ -356,19 +510,15 @@ where
             let keys = vol_copy(addr_of!(n.keys)).assume_init();
             let c = (node.count as usize).min(16);
             for (i, &k) in keys.iter().enumerate().take(c) {
-                if let Some(ok) = visit(k, addr_of!(n.children[i])) {
-                    if !ok {
-                        return false;
-                    }
+                if !f(k, addr_of!(n.children[i])) {
+                    return;
                 }
             }
         }
         Repr::N48(bx) => {
             let n = &**bx;
             // One volatile copy of the whole index, then SIMD next-edge
-            // stepping over the local bytes. Same trust model as the old
-            // per-byte volatile loop: the bytes are unvalidated, slots are
-            // bounds-clamped, and `visit` validates before dereferencing.
+            // stepping over the local bytes; slots are bounds-clamped.
             let index = vol_copy(addr_of!(n.index)).assume_init();
             let mut from = 0usize;
             while let Some(b) = crate::simd::next_edge48(&index, from) {
@@ -377,35 +527,45 @@ where
                 if slot as usize >= 48 {
                     continue; // torn index byte; validation will reject
                 }
-                if let Some(ok) = visit(b, addr_of!(n.children[slot as usize])) {
-                    if !ok {
-                        return false;
-                    }
+                if !f(b, addr_of!(n.children[slot as usize])) {
+                    return;
                 }
             }
         }
         Repr::N256(bx) => {
             let n = &**bx;
             for b in 0..=255u8 {
-                if let Some(ok) = visit(b, addr_of!(n.children[b as usize])) {
-                    if !ok {
-                        return false;
-                    }
+                if !f(b, addr_of!(n.children[b as usize])) {
+                    return;
                 }
             }
         }
     }
-    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tree::{OwnedLeaf, SliceResolver};
+    use hart_kv::InlineKey;
+    use std::cell::{Cell, RefCell};
 
     const R: SliceResolver = SliceResolver;
     const ALWAYS: fn() -> bool = || true;
     const NEVER: fn() -> bool = || false;
+
+    /// [`range_collect_raw`] over a tree the test owns.
+    fn collect_raw<V: Fn() -> bool>(
+        t: &Art<OwnedLeaf>,
+        start: &[u8],
+        end: Option<&[u8]>,
+        cap: usize,
+        validate: &V,
+        out: &mut Vec<OwnedLeaf>,
+    ) -> bool {
+        // SAFETY: the tree is locally owned and unmutated during the call.
+        unsafe { range_collect_raw(t, &R, start, end, cap, validate, out) }
+    }
 
     fn build(keys: &[&str]) -> Art<OwnedLeaf> {
         let mut t = Art::new();
@@ -473,7 +633,14 @@ mod tests {
             RawRead::Retry
         );
         let mut out = Vec::new();
-        assert!(!unsafe { range_collect_raw(&t, &R, b"a", b"z", &NEVER, &mut out) }); // SAFETY: the tree is locally owned and unmutated during the call
+        assert!(!collect_raw(
+            &t,
+            b"a",
+            Some(b"z".as_slice()),
+            usize::MAX,
+            &NEVER,
+            &mut out
+        ));
         assert!(out.is_empty());
     }
 
@@ -484,19 +651,30 @@ mod tests {
             let k = format!("k{:04}", i);
             t.insert(&R, k.as_bytes(), OwnedLeaf::new(k.as_bytes(), i as u64));
         }
-        let mut raw = Vec::new();
-        assert!(unsafe { range_collect_raw(&t, &R, b"k0100", b"k0199", &ALWAYS, &mut raw) }); // SAFETY: the tree is locally owned and unmutated during the call
-        let mut locked = Vec::new();
-        t.for_each_in_range(&R, b"k0100", b"k0199", |l| locked.push(*l));
-        assert_eq!(raw.len(), 100);
-        assert_eq!(raw, locked);
+        let (lo, hi) = (b"k0100".as_slice(), Some(b"k0199".as_slice()));
+        for cap in [0, 1, 37, 100, usize::MAX] {
+            let mut raw = Vec::new();
+            assert!(collect_raw(&t, lo, hi, cap, &ALWAYS, &mut raw));
+            let mut locked = Vec::new();
+            t.for_each_in_range(&R, lo, hi, cap, |l| locked.push(*l));
+            assert_eq!(raw.len(), cap.min(100));
+            assert_eq!(raw, locked);
+            assert_eq!(raw.first().map(|l| l.val), (cap > 0).then_some(100));
+        }
     }
 
     #[test]
     fn raw_range_includes_boundary_prefix_keys() {
         let t = build(&["ab", "abc", "abd", "ac"]);
         let mut raw = Vec::new();
-        assert!(unsafe { range_collect_raw(&t, &R, b"ab", b"abc", &ALWAYS, &mut raw) }); // SAFETY: the tree is locally owned and unmutated during the call
+        assert!(collect_raw(
+            &t,
+            b"ab",
+            Some(b"abc".as_slice()),
+            usize::MAX,
+            &ALWAYS,
+            &mut raw
+        ));
         let got: Vec<&[u8]> = raw.iter().map(|l| l.key.as_slice()).collect();
         assert_eq!(got, vec![b"ab".as_slice(), b"abc".as_slice()]);
     }
@@ -509,7 +687,205 @@ mod tests {
             RawRead::NotFound
         );
         let mut out = Vec::new();
-        assert!(unsafe { range_collect_raw(&t, &R, b"", b"zzz", &ALWAYS, &mut out) }); // SAFETY: the tree is locally owned and unmutated during the call
+        assert!(collect_raw(&t, b"", None, usize::MAX, &ALWAYS, &mut out));
         assert!(out.is_empty());
+    }
+
+    /// Resolver that records every key the walk loads.
+    #[derive(Default)]
+    struct Counting(RefCell<Vec<Vec<u8>>>);
+
+    impl KeyResolver<OwnedLeaf> for Counting {
+        fn load_key(&self, leaf: &OwnedLeaf) -> InlineKey {
+            self.0.borrow_mut().push(leaf.key.as_slice().to_vec());
+            leaf.key
+        }
+    }
+
+    /// The locked walk over `[start, end]`, at most `cap` rows: the keys it
+    /// returned and the keys it loaded.
+    fn scan(
+        t: &Art<OwnedLeaf>,
+        start: &[u8],
+        end: Option<&[u8]>,
+        cap: usize,
+    ) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
+        let r = Counting::default();
+        let mut got = Vec::new();
+        t.for_each_in_range(&r, start, end, cap, |l| got.push(l.key.as_slice().to_vec()));
+        (got, r.0.into_inner())
+    }
+
+    /// The same range cut out of the sorted key set.
+    fn model(keys: &[Vec<u8>], start: &[u8], end: Option<&[u8]>, cap: usize) -> Vec<Vec<u8>> {
+        let mut sorted = keys.to_vec();
+        sorted.sort_unstable();
+        sorted.dedup();
+        sorted
+            .into_iter()
+            .filter(|k| k.as_slice() >= start && end.is_none_or(|e| k.as_slice() <= e))
+            .take(cap)
+            .collect()
+    }
+
+    fn bytes(keys: &[&str]) -> Vec<Vec<u8>> {
+        keys.iter().map(|k| k.as_bytes().to_vec()).collect()
+    }
+
+    #[test]
+    fn raw_range_keys_that_prefix_the_bounds() {
+        // Every key but "ac" and "ba" is a proper prefix of a longer one.
+        let keys = ["a", "ab", "abc", "abcd", "abd", "ac", "b", "ba"];
+        let t = build(&keys);
+        let keys = bytes(&keys);
+        let probes = bytes(&["", "aa", "abb", "abcc", "abcde", "abz", "az", "bb"]);
+        let bounds: Vec<&[u8]> = keys.iter().chain(&probes).map(Vec::as_slice).collect();
+        for &start in &bounds {
+            let ends = bounds.iter().map(|&e| Some(e)).chain([None]);
+            for end in ends {
+                for cap in [0, 1, 2, usize::MAX] {
+                    let (got, _) = scan(&t, start, end, cap);
+                    assert_eq!(
+                        got,
+                        model(&keys, start, end, cap),
+                        "{start:?}..={end:?} cap {cap}"
+                    );
+                }
+            }
+        }
+        // The proper prefixes of `start` sort below it; those of `end` do not
+        // sort above it, and keys extending `end` do.
+        let (got, _) = scan(&t, b"abcd", Some(b"b"), usize::MAX);
+        assert_eq!(got, bytes(&["abcd", "abd", "ac", "b"]));
+        let (got, _) = scan(&t, b"a", Some(b"abc"), usize::MAX);
+        assert_eq!(got, bytes(&["a", "ab", "abc"]));
+    }
+
+    #[test]
+    fn raw_range_terminator_leaves_need_no_key_load() {
+        // "ab" sits behind the terminator edge of the node at path "ab".
+        let t = build(&["ab", "abc", "abd"]);
+        let (got, loaded) = scan(&t, b"ab", Some(b"abd"), usize::MAX);
+        assert_eq!(got, bytes(&["ab", "abc", "abd"]));
+        assert_eq!(loaded, bytes(&["abd"]), "only the end-spine leaf");
+        // Below a start it is a proper prefix of: skipped unloaded. The
+        // leaf at path "abc" = `start` needs no load either.
+        let (got, loaded) = scan(&t, b"abc", None, usize::MAX);
+        assert_eq!(got, bytes(&["abc", "abd"]));
+        assert!(loaded.is_empty());
+        // Exactly the end bound.
+        let (got, loaded) = scan(&t, b"a", Some(b"ab"), usize::MAX);
+        assert_eq!(got, bytes(&["ab"]));
+        assert!(loaded.is_empty());
+    }
+
+    #[test]
+    fn raw_range_with_start_equal_to_end() {
+        let keys = ["a", "ab", "abc", "abd", "b"];
+        let t = build(&keys);
+        for k in ["", "a", "aa", "ab", "abc", "abcd", "abd", "b", "c"] {
+            let (got, _) = scan(&t, k.as_bytes(), Some(k.as_bytes()), usize::MAX);
+            let want = if keys.contains(&k) {
+                bytes(&[k])
+            } else {
+                Vec::new()
+            };
+            assert_eq!(got, want, "{k:?}..={k:?}");
+        }
+    }
+
+    #[test]
+    fn raw_range_over_every_node_kind() {
+        // Root fans out to NODE256; each "<b>q" node below holds a
+        // terminator leaf and, for even bytes, a NODE48 of 40 children.
+        let mut keys = Vec::new();
+        for b in 1..=200u8 {
+            keys.push(vec![b]);
+            keys.push(vec![b, b'q']);
+            if b % 2 == 0 {
+                keys.extend((0..40u8).map(|c| vec![b, b'q', b'0' + c]));
+            }
+        }
+        let mut t = Art::new();
+        for k in &keys {
+            t.insert(&R, k, OwnedLeaf::new(k, 0));
+        }
+        assert!(t.node_histogram()[2] > 0 && t.node_histogram()[3] > 0);
+        let bounds: [&[u8]; 6] = [b"", &[7], &[8, b'q'], &[8, b'q', b'5'], &[90, b'r'], &[201]];
+        for &start in &bounds {
+            for end in bounds.iter().map(|&e| Some(e)).chain([None]) {
+                for cap in [1, 50, usize::MAX] {
+                    let (got, _) = scan(&t, start, end, cap);
+                    assert_eq!(
+                        got,
+                        model(&keys, start, end, cap),
+                        "{start:?}..={end:?} cap {cap}"
+                    );
+                }
+            }
+        }
+        let (got, loaded) = scan(&t, b"", None, usize::MAX);
+        assert_eq!(got.len(), keys.len());
+        assert!(loaded.is_empty(), "a whole-tree walk loads no key");
+    }
+
+    #[test]
+    fn validation_failure_after_the_cap_still_fails() {
+        let mut t = Art::new();
+        for i in 0..500 {
+            let k = format!("k{:04}", i);
+            t.insert(&R, k.as_bytes(), OwnedLeaf::new(k.as_bytes(), i as u64));
+        }
+        // Fail every validation made once `cap` leaves are out.
+        let cap = 10;
+        let emitted = Cell::new(0);
+        let late = Cell::new(0);
+        let validate = || {
+            if emitted.get() < cap {
+                return true;
+            }
+            late.set(late.get() + 1);
+            false
+        };
+        // SAFETY: the tree is locally owned and unmutated during the call.
+        let ok = unsafe {
+            range_walk(&t, &R, b"k0100", None, cap, &validate, |_| {
+                emitted.set(emitted.get() + 1)
+            })
+        };
+        assert_eq!(emitted.get(), cap);
+        assert!(late.get() > 0, "the walk validated nothing after the cap");
+        assert!(!ok, "a failed validation after the cap must fail the walk");
+
+        // `range_collect_raw` then rolls `out` back to what it held before.
+        let calls = Cell::new(0);
+        let counting = || {
+            calls.set(calls.get() + 1);
+            true
+        };
+        let mut out = vec![OwnedLeaf::new(b"x", 0)];
+        assert!(collect_raw(&t, b"k0100", None, cap, &counting, &mut out));
+        assert_eq!(out.len(), 1 + cap);
+        let last = calls.get();
+        calls.set(0);
+        let fail_last = || {
+            calls.set(calls.get() + 1);
+            calls.get() < last
+        };
+        out.truncate(1);
+        assert!(!collect_raw(&t, b"k0100", None, cap, &fail_last, &mut out));
+        assert_eq!(out.len(), 1);
+    }
+
+    #[test]
+    fn prefix_helpers() {
+        assert!(prefix_gt(b"abd", b"abc"));
+        assert!(!prefix_gt(b"abc", b"abc"));
+        assert!(prefix_gt(b"abcd", b"abc")); // longer, equal prefix: all > end
+        assert!(!prefix_gt(b"ab", b"abc")); // "ab" itself ≤ "abc"
+        assert!(prefix_lt(b"aa", b"ab"));
+        assert!(!prefix_lt(b"ab", b"ab"));
+        assert!(!prefix_lt(b"abc", b"ab"));
+        assert!(!prefix_lt(b"ab", b"abc")); // recurse, don't skip
     }
 }

@@ -1,6 +1,7 @@
 //! The adaptive radix tree proper: search / insert / remove / ordered scans.
 
 use crate::node::{retire, Child, Node};
+use crate::optimistic::range_walk;
 use hart_kv::{InlineKey, MAX_KEY_LEN};
 use std::mem::size_of;
 
@@ -253,24 +254,29 @@ impl<L> Art<L> {
         }
     }
 
-    /// Visit leaves whose key lies in `[start, end]` (inclusive), in key
-    /// order, pruning subtrees outside the range. This is the *ordered
+    /// Visit, in key order, the first `cap` leaves whose key lies in
+    /// `[start, end]` (`end = None`: no upper bound). This is the *ordered
     /// scan* extension; the paper's own range-query experiment (Fig. 10a)
     /// calls point `search` per key instead.
+    ///
+    /// Runs the walk of [`crate::range_collect_raw`] with a validator that
+    /// always passes, so it too loads a leaf's key only on the boundary
+    /// spines and stops at the `cap`-th leaf.
     pub fn for_each_in_range<R: KeyResolver<L>, F: FnMut(&L)>(
         &self,
         r: &R,
         start: &[u8],
-        end: &[u8],
+        end: Option<&[u8]>,
+        cap: usize,
         mut f: F,
-    ) {
-        if start > end {
-            return;
-        }
-        let mut path: Vec<u8> = Vec::with_capacity(MAX_KEY_LEN);
-        if let Some(c) = &self.root {
-            walk_range(r, c, &mut path, start, end, &mut f);
-        }
+    ) where
+        L: Copy,
+    {
+        // SAFETY: `&self` keeps the tree alive and unmodified for the whole
+        // call, so every raw read sees committed state and a validator that
+        // always passes is exact.
+        let ok = unsafe { range_walk(self, r, start, end, cap, &|| true, |l: L| f(&l)) };
+        debug_assert!(ok, "a walk over a borrowed tree cannot fail validation");
     }
 
     /// Total heap bytes of the internal-node structure (Fig. 10b DRAM
@@ -529,62 +535,6 @@ fn remove_rec<L: Send + 'static, R: KeyResolver<L>>(
     }
 }
 
-/// All keys prefixed by `p` are strictly greater than `end`.
-pub(crate) fn prefix_gt(p: &[u8], end: &[u8]) -> bool {
-    let m = p.len().min(end.len());
-    if p[..m] != end[..m] {
-        p[..m] > end[..m]
-    } else {
-        p.len() > end.len()
-    }
-}
-
-/// All keys prefixed by `p` are strictly less than `start`.
-pub(crate) fn prefix_lt(p: &[u8], start: &[u8]) -> bool {
-    let m = p.len().min(start.len());
-    p[..m] < start[..m]
-}
-
-fn walk_range<L, R: KeyResolver<L>, F: FnMut(&L)>(
-    r: &R,
-    c: &Child<L>,
-    path: &mut Vec<u8>,
-    start: &[u8],
-    end: &[u8],
-    f: &mut F,
-) {
-    match c {
-        Child::Leaf(l) => {
-            let k = r.load_key(l);
-            let ks = k.as_slice();
-            if ks >= start && ks <= end {
-                f(l);
-            }
-        }
-        Child::Inner(n) => {
-            let before = path.len();
-            path.extend_from_slice(n.prefix.as_slice());
-            if prefix_lt(path, start) || prefix_gt(path, end) {
-                path.truncate(before);
-                return;
-            }
-            n.for_each_child(|b, c| {
-                if b == 0 {
-                    // Terminator edge: the leaf's key equals the current path.
-                    walk_range(r, c, path, start, end, f);
-                } else {
-                    path.push(b);
-                    if !(prefix_lt(path, start) || prefix_gt(path, end)) {
-                        walk_range(r, c, path, start, end, f);
-                    }
-                    path.pop();
-                }
-            });
-            path.truncate(before);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -761,7 +711,7 @@ mod tests {
             ins(&mut t, k);
         }
         let mut seen = Vec::new();
-        t.for_each_in_range(&R, b"k0100", b"k0199", |l| {
+        t.for_each_in_range(&R, b"k0100", Some(b"k0199".as_slice()), usize::MAX, |l| {
             seen.push(String::from_utf8(l.key.as_slice().to_vec()).unwrap())
         });
         let expected: Vec<String> = (100..200).map(|i| format!("k{:04}", i)).collect();
@@ -769,15 +719,17 @@ mod tests {
 
         // Empty range.
         let mut n = 0;
-        t.for_each_in_range(&R, b"x", b"y", |_| n += 1);
+        t.for_each_in_range(&R, b"x", Some(b"y".as_slice()), usize::MAX, |_| n += 1);
         assert_eq!(n, 0);
 
         // Inverted range.
-        t.for_each_in_range(&R, b"k0199", b"k0100", |_| n += 1);
+        t.for_each_in_range(&R, b"k0199", Some(b"k0100".as_slice()), usize::MAX, |_| {
+            n += 1
+        });
         assert_eq!(n, 0);
 
         // Full range.
-        t.for_each_in_range(&R, b"", b"zzzzzz", |_| n += 1);
+        t.for_each_in_range(&R, b"", Some(b"zzzzzz".as_slice()), usize::MAX, |_| n += 1);
         assert_eq!(n, 500);
     }
 
@@ -788,7 +740,7 @@ mod tests {
             ins(&mut t, k);
         }
         let mut seen = Vec::new();
-        t.for_each_in_range(&R, b"ab", b"abc", |l| {
+        t.for_each_in_range(&R, b"ab", Some(b"abc".as_slice()), usize::MAX, |l| {
             seen.push(String::from_utf8(l.key.as_slice().to_vec()).unwrap())
         });
         assert_eq!(seen, vec!["ab", "abc"]);
@@ -848,17 +800,5 @@ mod tests {
         assert!(!has(&t, "a"));
         ins(&mut t, "c");
         assert!(has(&t, "c"));
-    }
-
-    #[test]
-    fn prefix_helpers() {
-        assert!(prefix_gt(b"abd", b"abc"));
-        assert!(!prefix_gt(b"abc", b"abc"));
-        assert!(prefix_gt(b"abcd", b"abc")); // longer, equal prefix: all > end
-        assert!(!prefix_gt(b"ab", b"abc")); // "ab" itself ≤ "abc"
-        assert!(prefix_lt(b"aa", b"ab"));
-        assert!(!prefix_lt(b"ab", b"ab"));
-        assert!(!prefix_lt(b"abc", b"ab"));
-        assert!(!prefix_lt(b"ab", b"abc")); // recurse, don't skip
     }
 }

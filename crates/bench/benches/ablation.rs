@@ -210,65 +210,6 @@ fn bench_rehash(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_scan(c: &mut Criterion) {
-    // DESIGN.md §Scans quantified: (a) HART's directory-merge ordered scan
-    // against every baseline's native ordered traversal at a fixed YCSB-E
-    // style limit, and (b) the SIMD node search vs its forced-scalar
-    // fallback on the same descent (the NODE16/NODE48 fast paths are
-    // shared by point lookups and scan stepping). The harness `scan`
-    // command produces the run-of-record CSV; this group tracks
-    // regressions per commit.
-    use bench::TreeKind;
-    use hart_kv::{Key, MAX_KEY_LEN};
-
-    let keys = random(N, 42);
-    let lat = LatencyConfig::c300_100();
-    let end = Key::new(&[0xFF; MAX_KEY_LEN]).unwrap();
-    let starts: Vec<&Key> = keys.iter().step_by(16).collect();
-    let mut group = c.benchmark_group("ablation/scan");
-    for kind in TreeKind::EXTENDED {
-        let tree = kind.build(pool_config(lat, N));
-        for k in &keys {
-            tree.insert(k, &value_for(k)).unwrap();
-        }
-        group.bench_function(BenchmarkId::new("scan-100", kind.label()), |b| {
-            b.iter(|| {
-                for s in &starts {
-                    std::hint::black_box(tree.scan(s, &end, 100).unwrap());
-                }
-            })
-        });
-    }
-    // SIMD vs scalar on a NODE16-heavy HART (16-symbol alphabet keys).
-    let hexkeys: Vec<Key> = (0..N as u64)
-        .map(|i| {
-            let mut buf = [0u8; 8];
-            for (j, b) in buf.iter_mut().enumerate() {
-                *b = b"0123456789ABCDEF"[((i >> (4 * j)) & 0xF) as usize];
-            }
-            Key::new(&buf).unwrap()
-        })
-        .collect();
-    let pool = Arc::new(PmemPool::new(pool_config(lat, N)));
-    let tree = Hart::create(pool, HartConfig::default()).unwrap();
-    for k in &hexkeys {
-        tree.insert(k, &value_for(k)).unwrap();
-    }
-    let hexstarts: Vec<&Key> = hexkeys.iter().step_by(16).collect();
-    for (label, scalar) in [("vector", false), ("scalar", true)] {
-        group.bench_function(BenchmarkId::new("simd", label), |b| {
-            hart_art::simd::force_scalar(scalar);
-            b.iter(|| {
-                for s in &hexstarts {
-                    std::hint::black_box(tree.ordered_scan(s, &end, 100).unwrap());
-                }
-            });
-            hart_art::simd::force_scalar(false);
-        });
-    }
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default()
@@ -276,6 +217,6 @@ criterion_group! {
         .measurement_time(Duration::from_secs(3))
         .warm_up_time(Duration::from_millis(500));
     targets = bench_hash_key_len, bench_alloc_overhead, bench_selective_persistence,
-        bench_read_path, bench_rehash, bench_scan
+        bench_read_path, bench_rehash
 }
 criterion_main!(benches);

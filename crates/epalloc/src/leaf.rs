@@ -73,6 +73,32 @@ pub fn leaf_read_val_len(pool: &PmemPool, leaf: PmPtr) -> usize {
     pool.read::<u8>(leaf.add(VAL_LEN_OFF)) as usize
 }
 
+/// A whole leaf, as [`leaf_read`] returns it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LeafRecord {
+    /// The complete key.
+    pub key: InlineKey,
+    /// Length of the value `p_value` points at.
+    pub val_len: usize,
+    /// The out-of-leaf value object.
+    pub p_value: PmPtr,
+}
+
+/// Read a whole leaf — key, `val_len` and `p_value` — in one pool read,
+/// so it is charged once per cache line the 40 bytes span.
+pub fn leaf_read(pool: &PmemPool, leaf: PmPtr) -> LeafRecord {
+    let mut buf = [0u8; LEAF_SIZE];
+    pool.read_bytes(leaf, &mut buf);
+    let key_len = (buf[KEY_LEN_OFF as usize] as usize).min(MAX_KEY_LEN);
+    let mut p_value = [0u8; 8];
+    p_value.copy_from_slice(&buf[P_VALUE_OFF as usize..LEAF_SIZE]);
+    LeafRecord {
+        key: InlineKey::from_slice(&buf[KEY_OFF as usize..][..key_len]),
+        val_len: buf[VAL_LEN_OFF as usize] as usize,
+        p_value: PmPtr(u64::from_ne_bytes(p_value)),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,6 +131,20 @@ mod tests {
         persist_leaf_pvalue(&pool, leaf);
         assert_eq!(leaf_read_pvalue(&pool, leaf), PmPtr(0x1000));
         assert_eq!(leaf_read_val_len(&pool, leaf), 16);
+    }
+
+    #[test]
+    fn whole_leaf_read_matches_the_field_reads() {
+        let pool = PmemPool::new(PoolConfig::test_small());
+        let leaf = pool.alloc_raw(LEAF_SIZE, 8).unwrap();
+        let key = Key::new(&[b'k'; MAX_KEY_LEN]).unwrap();
+        leaf_write_key(&pool, leaf, &key);
+        leaf_write_pvalue(&pool, leaf, PmPtr(0xABCD_EF08), 77);
+        let rec = leaf_read(&pool, leaf);
+        assert_eq!(rec.key, leaf_read_key(&pool, leaf));
+        assert_eq!(rec.val_len, leaf_read_val_len(&pool, leaf));
+        assert_eq!(rec.p_value, leaf_read_pvalue(&pool, leaf));
+        assert_eq!((rec.key.as_slice(), rec.val_len), (key.as_slice(), 77));
     }
 
     #[test]

@@ -79,7 +79,7 @@ pub use chunk::{ChunkHeader, Geometry, ObjClass, OBJS_PER_CHUNK};
 pub use epalloc::{AllocStats, EPallocator};
 pub use fsck::FsckReport;
 pub use leaf::{
-    leaf_read_key, leaf_read_pvalue, leaf_read_val_len, leaf_write_key, leaf_write_pvalue,
-    persist_leaf_key, persist_leaf_pvalue, LEAF_SIZE,
+    leaf_read, leaf_read_key, leaf_read_pvalue, leaf_read_val_len, leaf_write_key,
+    leaf_write_pvalue, persist_leaf_key, persist_leaf_pvalue, LeafRecord, LEAF_SIZE,
 };
 pub use logs::{RlogGuard, UlogGuard};

@@ -6,13 +6,11 @@ use crate::dir::{Directory, RawBucketRead, Shard};
 use crate::resolver::PmResolver;
 use hart_art::RawRead;
 use hart_epalloc::{
-    leaf_read_key, leaf_read_pvalue, leaf_read_val_len, leaf_write_key, leaf_write_pvalue,
-    persist_leaf_key, persist_leaf_pvalue, AllocStats, EPallocator, ObjClass, LEAF_SIZE,
-    OBJS_PER_CHUNK,
+    leaf_read, leaf_read_key, leaf_read_pvalue, leaf_read_val_len, leaf_write_key,
+    leaf_write_pvalue, persist_leaf_key, persist_leaf_pvalue, AllocStats, EPallocator, ObjClass,
+    LEAF_SIZE, OBJS_PER_CHUNK,
 };
-use hart_kv::{
-    Error, InlineKey, Key, MemoryStats, PersistentIndex, Result, Value, MAX_KEY_LEN, MAX_VALUE_LEN,
-};
+use hart_kv::{Error, InlineKey, Key, MemoryStats, PersistentIndex, Result, Value, MAX_VALUE_LEN};
 use hart_pm::{PmPtr, PmStatsSnapshot, PmemPool};
 use std::ptr;
 use std::sync::Arc;
@@ -374,10 +372,16 @@ impl Hart {
     /// `k_h` prefix split gives shards non-overlapping key regions (the
     /// shard for hash key "AB" holds exactly the keys that start "AB", and
     /// "A" sorts before every "AB…"), so visiting shards in sorted hash-key
-    /// order yields globally sorted output with no heap. The limit then
-    /// becomes a shard-granular early stop: each visited shard is collected
-    /// whole (shards are small by construction — one `k_h` region), and no
-    /// further shard is touched once `limit` rows are in hand.
+    /// order yields globally sorted output with no heap.
+    ///
+    /// Each shard visit runs one capped ART range walk for the rows still
+    /// wanted (`limit` minus the rows in hand), so the limit is an exact
+    /// stop inside the shard walk, not a stop between shards. The walk
+    /// loads a leaf's key only on the two boundary spines — where the
+    /// leaf's ART path is still a prefix of the start or end bound; every
+    /// other leaf is in range by its path alone, so a shard that lies
+    /// wholly inside the range loads no key. Each returned row then costs
+    /// one whole-leaf read (key, `val_len`, `p_value`) and one value read.
     ///
     /// Concurrency: same guarantees as [`Hart::ordered_range`] — every
     /// per-shard batch is seqlock-validated before being published, and the
@@ -396,7 +400,6 @@ impl Hart {
         }
         let s = start.as_slice();
         let e = end.as_slice();
-        let hi_buf = [0xFFu8; MAX_KEY_LEN];
         let kh = self.cfg.hash_key_len;
         let shards = self.dir.shards_sorted_cached();
         // First shard whose region can reach `start`. A full-length hash
@@ -413,7 +416,8 @@ impl Hart {
             }
         });
         for (hk, shard) in &shards[from..] {
-            if out.len() >= limit {
+            let cap = limit - out.len();
+            if cap == 0 {
                 break;
             }
             if hk.as_slice() > e {
@@ -421,7 +425,7 @@ impl Hart {
                 // every later shard lie wholly past `end`.
                 break;
             }
-            let Some((ak_lo, ak_hi)) = shard_ak_bounds(hk.as_slice(), s, e, &hi_buf) else {
+            let Some((ak_lo, ak_hi)) = shard_ak_bounds(hk.as_slice(), s, e) else {
                 continue;
             };
             if self.cfg.optimistic_reads {
@@ -429,24 +433,23 @@ impl Hart {
                 // for the whole call; the callee re-validates every read
                 // against the shard seqlock.
                 unsafe {
-                    self.range_shard_optimistic(Arc::as_ptr(shard), s, e, ak_lo, ak_hi, &mut out)?
+                    self.range_shard_optimistic(Arc::as_ptr(shard), ak_lo, ak_hi, cap, &mut out)?
                 };
             } else {
-                self.range_shard_locked(shard, s, e, ak_lo, ak_hi, &mut out)?;
+                self.range_shard_locked(shard, ak_lo, ak_hi, cap, &mut out)?;
             }
         }
-        out.truncate(limit);
         Ok(out)
     }
 
-    /// Read-locked range collection over one shard.
+    /// Read-locked range collection over one shard: at most `cap` rows
+    /// with ART keys in `[ak_lo, ak_hi]` (`None`: no upper bound).
     fn range_shard_locked(
         &self,
         shard: &Shard,
-        s: &[u8],
-        e: &[u8],
         ak_lo: &[u8],
-        ak_hi: &[u8],
+        ak_hi: Option<&[u8]>,
+        cap: usize,
         out: &mut Vec<(Key, Value)>,
     ) -> Result<()> {
         let r = self.resolver();
@@ -456,13 +459,9 @@ impl Hart {
         }
         let mut leaves = Vec::new();
         g.art
-            .for_each_in_range(&r, ak_lo, ak_hi, |&leaf| leaves.push(leaf));
+            .for_each_in_range(&r, ak_lo, ak_hi, cap, |&leaf| leaves.push(leaf));
         for leaf in leaves {
-            let (k, v) = self.load_record(leaf)?;
-            let ks = k.as_slice();
-            if ks >= s && ks <= e {
-                out.push((k, v));
-            }
+            out.push(self.load_record(leaf)?);
         }
         Ok(())
     }
@@ -478,10 +477,9 @@ impl Hart {
     unsafe fn range_shard_optimistic(
         &self,
         shard: *const Shard,
-        s: &[u8],
-        e: &[u8],
         ak_lo: &[u8],
-        ak_hi: &[u8],
+        ak_hi: Option<&[u8]>,
+        cap: usize,
         out: &mut Vec<(Key, Value)>,
     ) -> Result<()> {
         let shard = &*shard;
@@ -511,7 +509,7 @@ impl Hart {
                 return Ok(()); // unlinked shards are empty by invariant
             }
             let art = ptr::addr_of!((*inner).art);
-            if !hart_art::range_collect_raw(art, &r, ak_lo, ak_hi, &validate, &mut leaves) {
+            if !hart_art::range_collect_raw(art, &r, ak_lo, ak_hi, cap, &validate, &mut leaves) {
                 continue;
             }
             // The leaf set is a committed snapshot; now copy the records
@@ -520,12 +518,7 @@ impl Hart {
             rows.reserve(leaves.len());
             for &leaf in &leaves {
                 match self.load_record(leaf) {
-                    Ok((k, v)) => {
-                        let ks = k.as_slice();
-                        if ks >= s && ks <= e {
-                            rows.push((k, v));
-                        }
-                    }
+                    Ok(row) => rows.push(row),
                     Err(err) => {
                         if validate() {
                             return Err(err); // stable snapshot: real corruption
@@ -541,15 +534,21 @@ impl Hart {
             return Ok(());
         }
         self.obs.add(hart_obs::Event::LockFallback, 1);
-        self.range_shard_locked(shard, s, e, ak_lo, ak_hi, out)
+        self.range_shard_locked(shard, ak_lo, ak_hi, cap, out)
     }
 
+    /// One scan row: a whole-leaf read, then the value it points at.
     fn load_record(&self, leaf: PmPtr) -> Result<(Key, Value)> {
         let pool = self.pool();
-        let full = leaf_read_key(pool, leaf);
-        let key = Key::new(full.as_slice()).map_err(|_| Error::Corrupted("bad key in leaf"))?;
-        let v = self.load_value(leaf)?;
-        Ok((key, v))
+        let rec = leaf_read(pool, leaf);
+        let key = Key::new(rec.key.as_slice()).map_err(|_| Error::Corrupted("bad key in leaf"))?;
+        if rec.p_value.is_null() {
+            return Err(Error::Corrupted("live leaf without value"));
+        }
+        let len = rec.val_len.min(MAX_VALUE_LEN);
+        let mut buf = [0u8; MAX_VALUE_LEN];
+        pool.read_bytes(rec.p_value, &mut buf[..len.max(1)]);
+        Ok((key, Value::new(&buf[..len]).expect("len bounded")))
     }
 
     /// Algorithm 4 as published: hash probe + ART search under the shard's
@@ -879,29 +878,22 @@ fn split_inline(full: &InlineKey, kh: usize) -> (&[u8], &[u8]) {
 
 /// Translate full-key range bounds `[s, e]` into ART-key bounds for the
 /// shard with hash key `hks`, or `None` if the shard's key region misses
-/// the range entirely.
+/// the range entirely. The upper bound is `None` (open) when every key of
+/// the region sorts below `e`, so the shard walk needs no end spine there.
 #[inline]
 fn shard_ak_bounds<'a>(
     hks: &[u8],
     s: &'a [u8],
     e: &'a [u8],
-    hi_buf: &'a [u8; MAX_KEY_LEN],
-) -> Option<(&'a [u8], &'a [u8])> {
+) -> Option<(&'a [u8], Option<&'a [u8]>)> {
     // Prune shards whose key region [hks, hks⋅0xff…] misses [s, e].
     if region_before(hks, s) || region_after(hks, e) {
         return None;
     }
-    let ak_lo: &[u8] = if s.len() > hks.len() && s.starts_with(hks) {
-        &s[hks.len()..]
-    } else {
-        b""
-    };
-    let ak_hi: &[u8] = if e.len() > hks.len() && e.starts_with(hks) {
-        &e[hks.len()..]
-    } else {
-        hi_buf
-    };
-    Some((ak_lo, ak_hi))
+    // A region that survived the prune either extends a bound — and the
+    // shard's ART keys are cut by the rest of it — or lies wholly past
+    // `s` / below `e`.
+    Some((s.strip_prefix(hks).unwrap_or(b""), e.strip_prefix(hks)))
 }
 
 /// Every key with prefix `region` is < `start`.

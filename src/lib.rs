@@ -41,8 +41,9 @@ pub use hart_wort::Wort;
 
 use std::sync::Arc;
 
-/// Build each of the four evaluated trees over a fresh pool with the same
-/// configuration — convenience for tests and examples that compare them.
+/// Build every index in the workspace — the paper's four evaluated trees
+/// plus WORT — over a fresh pool each with the same configuration:
+/// convenience for tests and examples that compare them.
 pub fn all_trees(cfg: PoolConfig) -> Vec<Box<dyn PersistentIndex>> {
     vec![
         Box::new(
@@ -51,7 +52,8 @@ pub fn all_trees(cfg: PoolConfig) -> Vec<Box<dyn PersistentIndex>> {
         ),
         Box::new(Woart::create(Arc::new(PmemPool::new(cfg.clone()))).expect("create WOART")),
         Box::new(ArtCow::create(Arc::new(PmemPool::new(cfg.clone()))).expect("create ART+CoW")),
-        Box::new(FpTree::create(Arc::new(PmemPool::new(cfg))).expect("create FPTree")),
+        Box::new(FpTree::create(Arc::new(PmemPool::new(cfg.clone()))).expect("create FPTree")),
+        Box::new(Wort::create(Arc::new(PmemPool::new(cfg))).expect("create WORT")),
     ]
 }
 
@@ -60,9 +62,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn all_trees_builds_four() {
+    fn all_trees_builds_five() {
         let trees = all_trees(PoolConfig::test_small());
         let names: Vec<&str> = trees.iter().map(|t| t.name()).collect();
-        assert_eq!(names, vec!["HART", "WOART", "ART+CoW", "FPTree"]);
+        assert_eq!(names, vec!["HART", "WOART", "ART+CoW", "FPTree", "WORT"]);
     }
 }

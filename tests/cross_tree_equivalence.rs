@@ -1,8 +1,8 @@
-//! Cross-tree equivalence: all four persistent indexes must agree with a
-//! `BTreeMap` reference model (and therefore with each other) on arbitrary
-//! operation sequences — the behavioural backbone of the whole evaluation:
-//! the paper's comparisons are only meaningful if every tree computes the
-//! same map.
+//! Cross-tree equivalence: every persistent index (the paper's four plus
+//! WORT) must agree with a `BTreeMap` reference model (and therefore with
+//! each other) on arbitrary operation sequences — the behavioural backbone
+//! of the whole evaluation: the paper's comparisons are only meaningful if
+//! every tree computes the same map.
 
 use hart_suite::workloads::ALPHABET;
 use hart_suite::{all_trees, Key, PoolConfig, Value};

@@ -15,9 +15,7 @@
 //!   committed before the scan started. The nightly lock-witness CI job
 //!   runs this under `--features lock-witness`.
 
-use hart_suite::{
-    all_trees, Hart, HartConfig, Key, PersistentIndex, PmemPool, PoolConfig, Value, Wort,
-};
+use hart_suite::{all_trees, Hart, HartConfig, Key, PersistentIndex, PmemPool, PoolConfig, Value};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -36,9 +34,6 @@ fn small_pool_cfg() -> PoolConfig {
 fn scan_trees() -> Vec<Box<dyn PersistentIndex>> {
     let cfg = small_pool_cfg();
     let mut trees = all_trees(cfg.clone());
-    trees.push(Box::new(
-        Wort::create(Arc::new(PmemPool::new(cfg.clone()))).expect("create WORT"),
-    ));
     trees.push(Box::new(
         Hart::create(
             Arc::new(PmemPool::new(cfg)),
@@ -145,7 +140,9 @@ proptest! {
 }
 
 /// Deterministic edge cases the proptest shrinker would have to stumble
-/// into: empty tree, inverted range, zero limit, exact-limit boundary.
+/// into: empty tree, inverted range, zero limit, exact-limit boundary,
+/// bounds equal to a hash key or a proper prefix of stored keys, and
+/// limits that stop inside a shard.
 #[test]
 fn scan_edge_cases_on_every_tree() {
     for t in scan_trees() {
@@ -178,6 +175,63 @@ fn scan_edge_cases_on_every_tree() {
             "[{}]",
             t.name()
         );
+
+        // Bounds shaped like HART's shards: "AB" is the hash key of a
+        // 6-key shard at k_h = 2 and "ABa" of a 3-key shard at k_h = 3; "A"
+        // and "AAz" are proper prefixes of stored keys; "AC…" keys make a
+        // non-empty shard after both, so small limits stop mid-shard.
+        let extra = [
+            "AAz1", "AAz2", "AB", "ABa", "ABa1", "ABa2", "ABb", "ABb1", "AC1", "AC2",
+        ];
+        for k in extra {
+            t.insert(&Key::from_str(k).unwrap(), &Value::from_u64(7))
+                .unwrap();
+        }
+        let mut all: Vec<Key> = keys.clone();
+        all.extend(extra.map(|k| Key::from_str(k).unwrap()));
+        all.sort_unstable();
+        let bounds: Vec<Key> = ["A", "AAz", "AAz2", "AB", "ABa", "ABa1", "ABb", "AC"]
+            .map(|k| Key::from_str(k).unwrap())
+            .into_iter()
+            .chain([max_key()])
+            .collect();
+        for s in &bounds {
+            for e in &bounds {
+                for limit in [1, 2, 3, 5, usize::MAX] {
+                    let want: Vec<Key> = all
+                        .iter()
+                        .filter(|k| s <= *k && *k <= e)
+                        .take(limit)
+                        .copied()
+                        .collect();
+                    let got: Vec<Key> = t
+                        .scan(s, e, limit)
+                        .unwrap()
+                        .into_iter()
+                        .map(|(k, _)| k)
+                        .collect();
+                    assert_eq!(got, want, "[{}] scan {s}..={e} limit {limit}", t.name());
+                }
+            }
+        }
+        let scan = |s: &str, e: &str, limit: usize| -> Vec<String> {
+            let (s, e) = (Key::from_str(s).unwrap(), Key::from_str(e).unwrap());
+            t.scan(&s, &e, limit)
+                .unwrap()
+                .iter()
+                .map(|(k, _)| String::from_utf8(k.as_slice().to_vec()).unwrap())
+                .collect()
+        };
+        // `end` equal to a hash key, limit below that shard's size.
+        assert_eq!(scan("AAz2", "AB", 2), ["AAz2", "AB"], "[{}]", t.name());
+        assert_eq!(scan("AB", "ABa", 1), ["AB"], "[{}]", t.name());
+        assert_eq!(scan("ABa", "ABa", 2), ["ABa"], "[{}]", t.name());
+        // Bounds that are proper prefixes of stored keys.
+        assert_eq!(scan("AAz", "ABa", 4), ["AAz1", "AAz2", "AB", "ABa"]);
+        assert!(scan("A", "AAz", usize::MAX).is_empty(), "[{}]", t.name());
+        // A limit that ends mid-shard, with the "AC" shard after it.
+        assert_eq!(scan("ABa", "AC", 2), ["ABa", "ABa1"], "[{}]", t.name());
+        assert_eq!(scan("AB", "AC", 4), ["AB", "ABa", "ABa1", "ABa2"]);
     }
 }
 

@@ -2,19 +2,13 @@
 //! in the workspace (the paper's four plus WORT): the small behavioural
 //! guarantees all higher-level tests and benches implicitly rely on.
 
-use hart_suite::{all_trees, Key, PersistentIndex, PmemPool, PoolConfig, Value, Wort};
-use std::sync::Arc;
+use hart_suite::{all_trees, Key, PersistentIndex, PoolConfig, Value};
 
 fn every_tree() -> Vec<Box<dyn PersistentIndex>> {
-    let cfg = PoolConfig {
+    all_trees(PoolConfig {
         alloc_overhead_ns: 0,
         ..PoolConfig::test_small()
-    };
-    let mut trees = all_trees(cfg.clone());
-    trees.push(Box::new(
-        Wort::create(Arc::new(PmemPool::new(cfg))).expect("create WORT"),
-    ));
-    trees
+    })
 }
 
 fn k(s: &str) -> Key {
